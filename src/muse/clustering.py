@@ -2,7 +2,7 @@
 
 Initialization samples points proportional to their squared norm, a fixed
 number of uncapped Lloyd iterations follow, and a final capacity-capped
-assignment pass plus one recentering produce the ragged layout the
+assignment pass plus one recentering produce the segment-sorted layout the
 summary stages consume. Everything is deterministic given the generator.
 """
 
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import pairwise
 
 import numpy as np
 
@@ -23,23 +24,34 @@ class CentroidInit:
 
 @dataclass
 class Clustering:
-    """Assignment of n tokens to c capped clusters.
+    """Assignment of n tokens to c capped clusters, in a segment-sorted layout.
 
-    members[j] holds ascending token indices; every token appears in exactly
-    one members list and len(members[j]) <= cap. centroids[j] is the mean of
-    the member vectors after the final recentering pass.
+    `order` lists the token ids sorted by cluster, ascending within each
+    cluster; cluster j is order[offsets[j]:offsets[j + 1]] and holds at most
+    `cap` tokens. centroids[j] is the mean of the member vectors after the
+    final recentering pass.
     """
 
     assignments: np.ndarray  # (n,) int64
     centroids: np.ndarray  # (c, d)
-    members: list = field(repr=False)
+    order: np.ndarray = field(repr=False)  # (n,) int64
+    offsets: np.ndarray = field(repr=False)  # (c + 1,) int64
     cap: int
     c: int
     init_fallback: bool = False
 
     @property
     def sizes(self) -> np.ndarray:
-        return np.array([len(m) for m in self.members])
+        return np.diff(self.offsets)
+
+    @property
+    def members(self) -> list:
+        """Ascending token ids per cluster (views into `order`)."""
+        return _segments(self.order, self.offsets)
+
+    def groups(self, x: np.ndarray) -> list:
+        """Rows of x per cluster, as views into the one gathered copy x[order]."""
+        return _segments(x[self.order], self.offsets)
 
 
 @dataclass
@@ -48,12 +60,49 @@ class ResidualDecomposition:
     residual: np.ndarray  # (n, d): token minus assigned centroid
 
 
+def _layout(assign: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """(order, offsets) of labels in [0, c): a stable sort by cluster, so ids
+    ascend within each cluster, and the c + 1 segment boundaries."""
+    order = np.argsort(assign, kind="stable")
+    offsets = np.zeros(c + 1, dtype=np.int64)
+    np.cumsum(np.bincount(assign, minlength=c), out=offsets[1:])
+    return order, offsets
+
+
+def _segments(rows: np.ndarray, offsets: np.ndarray) -> list:
+    return [rows[a:b] for a, b in pairwise(offsets.tolist())]
+
+
+def _recenter(x, order, offsets, centroids):
+    """Move every non-empty cluster's centroid to its member mean, by segment
+    sums over x[order]; empty clusters keep theirs."""
+    sizes = np.diff(offsets)
+    full = sizes > 0
+    sums = np.add.reduceat(x[order], offsets[:-1][full], axis=0)
+    centroids[full] = sums / sizes[full, None].astype(sums.dtype)
+
+
+def clustering_from_assignments(x: np.ndarray, assign: np.ndarray, c: int) -> Clustering:
+    """The clustering of x that fixed labels in [0, c) define, with member-mean
+    centroids; the same layout and reduction as the end of `kmeans`."""
+    order, offsets = _layout(assign, c)
+    sizes = np.diff(offsets)
+    if sizes.min() == 0:
+        raise ValueError("frozen assignment leaves an empty cluster")
+    centroids = np.empty((c, x.shape[1]), dtype=x.dtype)
+    _recenter(x, order, offsets, centroids)
+    return Clustering(assignments=assign.astype(np.int64), centroids=centroids, order=order,
+                      offsets=offsets, cap=int(sizes.max()), c=c)
+
+
 def _sq_dists(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """(n, c) squared Euclidean distances, matmul-based."""
-    xx = np.sum(x * x, axis=1)[:, None]
-    cc = np.sum(centroids * centroids, axis=1)[None, :]
-    d2 = xx - 2.0 * (x @ centroids.T) + cc
-    return np.maximum(d2, 0.0)
+    """(n, c) squared Euclidean distances, matmul-based: (||x||^2 - 2 x.c) + ||c||^2,
+    computed in place in the one (n, c) buffer."""
+    d2 = x @ centroids.T
+    d2 *= -2.0
+    d2 += np.sum(x * x, axis=1)[:, None]
+    d2 += np.sum(centroids * centroids, axis=1)
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def init_centroids(x: np.ndarray, c: int, rng: np.random.Generator) -> CentroidInit:
@@ -77,16 +126,19 @@ def init_centroids(x: np.ndarray, c: int, rng: np.random.Generator) -> CentroidI
     return CentroidInit(centroids=x[idx].copy(), indices=idx, uniform_fallback=fallback)
 
 
-def _repair_empties(x, centroids, assign, d2):
+def _repair_empties(x, centroids, assign, d2=None):
     """Reseed each empty cluster to the worst-served point (greatest distance
     to its currently assigned centroid), stealing that point. Repeats until no
-    cluster is empty; ties pick the lowest token index."""
+    cluster is empty; ties pick the lowest token index. d2, the distances to
+    the centroids as passed in, is computed here only if a cluster is empty."""
     c = centroids.shape[0]
     for _ in range(c):
         counts = np.bincount(assign, minlength=c)
         empties = np.flatnonzero(counts == 0)
         if empties.size == 0:
             return assign
+        if d2 is None:
+            d2 = _sq_dists(x, centroids)
         own = d2[np.arange(len(assign)), assign].copy()
         for j in empties:
             i = int(np.argmax(own))
@@ -102,8 +154,8 @@ def cap_assign(x: np.ndarray, centroids: np.ndarray, cap: int) -> np.ndarray:
     Tokens are processed in ascending order of (distance to nearest centroid
     minus distance to second nearest), i.e. strongest preference first; each
     takes the nearest centroid with remaining capacity, spilling outward in
-    distance order. The token forced to spill is the one with the smallest
-    margin between its top two choices.
+    distance order (ties toward the lowest id). The token forced to spill is
+    the one with the smallest margin between its top two choices.
     """
     x = np.asarray(x)
     n, c = x.shape[0], centroids.shape[0]
@@ -113,21 +165,21 @@ def cap_assign(x: np.ndarray, centroids: np.ndarray, cap: int) -> np.ndarray:
     nearest = np.argmin(d2, axis=1)
     counts = np.bincount(nearest, minlength=c)
     if np.all(counts <= cap):
-        return nearest.astype(np.int64)  # caps non-binding: identical to uncapped
-    if c == 1:
-        return np.zeros(n, dtype=np.int64)
+        return nearest.astype(np.int64)  # caps non-binding: identical to uncapped (always when c == 1)
     part = np.partition(d2, 1, axis=1)
-    order = np.argsort(part[:, 0] - part[:, 1], kind="stable")
-    pref = np.argsort(d2, axis=1, kind="stable")
-    assign = np.empty(n, dtype=np.int64)
-    remaining = np.full(c, cap, dtype=np.int64)
-    for t in order:
-        for j in pref[t]:
+    assign = nearest.tolist()
+    remaining = [cap] * c
+    for t in np.argsort(part[:, 0] - part[:, 1], kind="stable").tolist():
+        if remaining[assign[t]] > 0:
+            remaining[assign[t]] -= 1
+            continue
+        # the nearest centroid is full: only now rank this token's choices
+        for j in np.argsort(d2[t], kind="stable").tolist():
             if remaining[j] > 0:
                 assign[t] = j
                 remaining[j] -= 1
                 break
-    return assign
+    return np.array(assign, dtype=np.int64)
 
 
 def kmeans(
@@ -164,24 +216,14 @@ def kmeans(
         d2 = _sq_dists(x, centroids)
         assign = np.argmin(d2, axis=1).astype(np.int64)  # ties -> lowest id
         assign = _repair_empties(x, centroids, assign, d2)
-        _recenter(x, assign, centroids)
+        _recenter(x, *_layout(assign, c), centroids)
 
     cap = math.ceil(cap_ratio * n / c)
-    assign = cap_assign(x, centroids, cap)
-    d2 = _sq_dists(x, centroids)
-    assign = _repair_empties(x, centroids, assign, d2)
-    _recenter(x, assign, centroids)
-    members = [np.flatnonzero(assign == j) for j in range(c)]
-    return Clustering(
-        assignments=assign, centroids=centroids, members=members, cap=cap, c=c, init_fallback=fallback
-    )
-
-
-def _recenter(x, assign, centroids):
-    for j in range(centroids.shape[0]):
-        mask = assign == j
-        if mask.any():
-            centroids[j] = x[mask].mean(axis=0)
+    assign = _repair_empties(x, centroids, cap_assign(x, centroids, cap))
+    order, offsets = _layout(assign, c)
+    _recenter(x, order, offsets, centroids)
+    return Clustering(assignments=assign, centroids=centroids, order=order, offsets=offsets,
+                      cap=cap, c=c, init_fallback=fallback)
 
 
 def decompose(x: np.ndarray, clustering: Clustering) -> ResidualDecomposition:

@@ -18,8 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import AttentionResult, _map_slices
-from .clustering import Clustering, kmeans
-from .numerics import check_tensor4, derive_seed, make_rng, stable_logsumexp, stable_softmax
+from .clustering import Clustering, clustering_from_assignments, decompose, kmeans
+from .numerics import check_tensor4, derive_seed, make_rng, softmax_logsumexp_inplace, stable_softmax
+# perfbench/tracing.py wraps muse.multipole.stable_logsumexp, so the name stays importable here
+from .numerics import stable_logsumexp  # noqa: F401
 
 ABLATIONS = ("full", "no_dipole", "single_query_cluster", "no_monopole")
 
@@ -82,17 +84,15 @@ class AggregatedDipoles:
     cov_q: np.ndarray  # (c_q, d, d)
 
 
-def _pad_ragged(groups: list) -> tuple[np.ndarray, np.ndarray]:
-    """Stack variable-length (U_j, d) arrays into (C, U_max, d) plus a validity mask."""
-    c = len(groups)
-    u = max(g.shape[0] for g in groups)
-    d = groups[0].shape[1]
-    out = np.zeros((c, u, d), dtype=groups[0].dtype)
-    mask = np.zeros((c, u), dtype=bool)
-    for j, g in enumerate(groups):
-        out[j, : g.shape[0]] = g
-        mask[j, : g.shape[0]] = True
-    return out, mask
+def _padded(groups: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stack variable-length (U_j, d) arrays into zero-padded (C, U_max, d),
+    plus the (C, U_max) validity mask and the (C,) group sizes."""
+    sizes = np.array([g.shape[0] for g in groups])
+    mask = np.arange(sizes.max()) < sizes[:, None]
+    rows = np.concatenate(groups)
+    out = np.zeros(mask.shape + rows.shape[1:], dtype=rows.dtype)
+    out[mask] = rows
+    return out, mask, sizes
 
 
 def stage1(qbar: np.ndarray, key_clusters: list, value_clusters: list) -> ClusterSummaries:
@@ -108,28 +108,31 @@ def stage1(qbar: np.ndarray, key_clusters: list, value_clusters: list) -> Cluste
     for kc in key_clusters:
         if kc.shape[0] == 0:
             raise ValueError("empty key cluster")
-    kpad, mask = _pad_ragged(key_clusters)
-    vpad, _ = _pad_ragged(value_clusters)
-    s = np.einsum("qd,kud->qku", qbar, kpad)
-    s = np.where(mask[None, :, :], s, np.asarray(-np.inf, dtype=s.dtype))
-    mu = stable_logsumexp(s, axis=-1)
-    p = stable_softmax(s, axis=-1)
-    kbar = np.einsum("qku,kud->qkd", p, kpad)
-    vbar = np.einsum("qku,kud->qkd", p, vpad)
-    d = qbar.shape[1]
-    cov_vk = np.zeros((len(key_clusters), d, d), dtype=qbar.dtype)
-    for j, (kc, vc) in enumerate(zip(key_clusters, value_clusters)):
-        dk = kc - kc.mean(axis=0)
-        dv = vc - vc.mean(axis=0)
-        cov_vk[j] = dv.T @ dk / kc.shape[0]
-    return ClusterSummaries(kbar=kbar, vbar=vbar, mu=mu, cov_vk=cov_vk)
+    kpad, mask, sizes = _padded(key_clusters)
+    vpad, _, _ = _padded(value_clusters)
+    # scores laid out (c_k, c_q, U): one batched product per key cluster, here and for kbar/vbar
+    s = np.matmul(qbar, kpad.transpose(0, 2, 1))
+    np.copyto(s, -np.inf, where=~mask[:, None, :])
+    p, mu = softmax_logsumexp_inplace(s)
+    kbar = np.matmul(p, kpad).transpose(1, 0, 2)
+    vbar = np.matmul(p, vpad).transpose(1, 0, 2)
+    del s, p  # free the scores before the covariance temporaries
+    counts = sizes[:, None, None].astype(kpad.dtype)
+    # deviations from the plain member means, zeroed again in the padded slots
+    dk = kpad - kpad.sum(axis=1, keepdims=True) / counts
+    dv = vpad - vpad.sum(axis=1, keepdims=True) / counts
+    dk[~mask] = 0
+    dv[~mask] = 0
+    cov_vk = np.matmul(dv.transpose(0, 2, 1), dk) / counts
+    return ClusterSummaries(kbar=kbar, vbar=vbar, mu=mu.T, cov_vk=cov_vk)
 
 
 def aggregate_dipoles(summaries: ClusterSummaries) -> AggregatedDipoles:
     """Mix the per-key-cluster covariances with weights softmax_j(mu[i, :]),
     the merge weights a zero-residual query would use."""
     w = stable_softmax(summaries.mu, axis=-1)
-    return AggregatedDipoles(cov_q=np.einsum("qk,kab->qab", w, summaries.cov_vk))
+    c_k, d, _ = summaries.cov_vk.shape
+    return AggregatedDipoles(cov_q=(w @ summaries.cov_vk.reshape(c_k, d * d)).reshape(-1, d, d))
 
 
 def final_stage(
@@ -151,24 +154,20 @@ def final_stage(
     """
     if ablation not in ABLATIONS:
         raise ValueError(f"unknown ablation {ablation!r}")
-    rpad, rmask = _pad_ragged(residual_clusters)
-    s = np.einsum("qud,qkd->quk", rpad, summaries.kbar) + summaries.mu[:, None, :]
-    mu_rows = stable_logsumexp(s, axis=-1)
-    p = stable_softmax(s, axis=-1)
-    y = np.einsum("quk,qkd->qud", p, summaries.vbar)
+    rpad, mask, sizes = _padded(residual_clusters)
+    s = np.matmul(rpad, summaries.kbar.transpose(0, 2, 1))
+    s += summaries.mu[:, None, :]
+    p, mu_rows = softmax_logsumexp_inplace(s)
+    y = np.matmul(p, summaries.vbar)
     if ablation in ("full", "single_query_cluster"):
-        y = y + np.einsum("qub,qab->qua", rpad, dipoles.cov_q)
+        y += np.matmul(rpad, dipoles.cov_q.transpose(0, 2, 1))
     elif ablation == "no_monopole":
         if value_mean is None:
             raise ValueError("no_monopole requires the global value mean")
         cov_uniform = summaries.cov_vk.mean(axis=0)
-        y = value_mean[None, None, :] + np.einsum("qub,ab->qua", rpad, cov_uniform)
-    y_out, mu_out = [], []
-    for i, res in enumerate(residual_clusters):
-        u = res.shape[0]
-        y_out.append(y[i, :u])
-        mu_out.append(mu_rows[i, :u])
-    return y_out, mu_out
+        y = value_mean + rpad @ cov_uniform.T
+    sizes = sizes.tolist()
+    return [y[i, :u] for i, u in enumerate(sizes)], [mu_rows[i, :u] for i, u in enumerate(sizes)]
 
 
 @dataclass
@@ -180,17 +179,32 @@ class MuseClusters:
     k_assign: np.ndarray  # (batch, heads, n_k) int64
 
 
-def _clustering_from_assignments(x: np.ndarray, assign: np.ndarray, c: int) -> Clustering:
-    members = [np.flatnonzero(assign == j) for j in range(c)]
-    if any(m.size == 0 for m in members):
-        raise ValueError("frozen assignment leaves an empty cluster")
-    centroids = np.empty((c, x.shape[1]), dtype=x.dtype)
-    for j, m in enumerate(members):
-        centroids[j] = x[m].mean(axis=0)
-    return Clustering(
-        assignments=assign.astype(np.int64), centroids=centroids, members=members,
-        cap=max(len(m) for m in members), c=c,
-    )
+def _check_clusters(clusters: MuseClusters, b: int, h: int, n_q: int, n_k: int, c_q: int, c_k: int):
+    """Reject frozen assignments that do not label every token of every slice
+    with a cluster id in range."""
+    for name, labels, n, c in (("q_assign", clusters.q_assign, n_q, c_q),
+                               ("k_assign", clusters.k_assign, n_k, c_k)):
+        labels = np.asarray(labels)
+        if labels.shape != (b, h, n):
+            raise ValueError(f"clusters.{name} must have shape {(b, h, n)}, got {labels.shape}")
+        if not np.issubdtype(labels.dtype, np.integer):
+            raise ValueError(f"clusters.{name} must hold integer labels, got {labels.dtype}")
+        if labels.min() < 0 or labels.max() >= c:
+            raise ValueError(f"clusters.{name} labels must lie in [0, {c}), "
+                             f"got [{labels.min()}, {labels.max()}]")
+
+
+def _cluster_slice(qs, ks, config: MuseConfig, c_q: int, bi: int, hi: int,
+                   clusters: MuseClusters | None = None) -> tuple[Clustering, Clustering]:
+    """Query and key clusterings of one (batch, head) slice: capped k-means with
+    per-slice seeds, or the frozen labels of `clusters` with fresh centroids."""
+    if clusters is not None:
+        return (clustering_from_assignments(qs, clusters.q_assign[bi, hi], c_q),
+                clustering_from_assignments(ks, clusters.k_assign[bi, hi], config.c_k))
+    return (kmeans(qs, c_q, config.kmeans_iters, config.cap_ratio,
+                   make_rng(derive_seed(config.seed, bi, hi, 0))),
+            kmeans(ks, config.c_k, config.kmeans_iters, config.cap_ratio,
+                   make_rng(derive_seed(config.seed, bi, hi, 1))))
 
 
 def cluster_tokens(q, k, config: MuseConfig, threads: int = 1) -> MuseClusters:
@@ -207,10 +221,7 @@ def cluster_tokens(q, k, config: MuseConfig, threads: int = 1) -> MuseClusters:
     def run(i):
         bi, hi = divmod(i, h)
         qs = q[bi, hi] * np.asarray(scale, dtype=q.dtype)
-        qc = kmeans(qs, c_q, config.kmeans_iters, config.cap_ratio,
-                    make_rng(derive_seed(config.seed, bi, hi, 0)))
-        kc = kmeans(k[bi, hi], config.c_k, config.kmeans_iters, config.cap_ratio,
-                    make_rng(derive_seed(config.seed, bi, hi, 1)))
+        qc, kc = _cluster_slice(qs, k[bi, hi], config, c_q, bi, hi)
         qa[bi, hi] = qc.assignments
         ka[bi, hi] = kc.assignments
 
@@ -225,11 +236,13 @@ def muse_acausal(q, k, v, config: MuseConfig, threads: int = 1,
     Queries are scaled once (scores stay scale * q . k everywhere downstream),
     clustered per (batch, head) along with the keys (values ride with their
     keys), and the stage-1 / dipole-aggregation / final-stage pipeline runs
-    per slice. Per-cluster outputs scatter back to token order; the returned
-    mu rows are valid merge weights for `merge_partials`.
+    per slice. Outputs come back in cluster order and scatter to token order
+    in one assignment; the returned mu rows are valid merge weights for
+    `merge_partials`.
 
     `clusters` freezes assignments (centroids are recomputed from the inputs),
-    which keeps the function smooth under small perturbations.
+    which keeps the function smooth under small perturbations. Each label
+    array must have shape (batch, heads, n) and ids in [0, c).
     """
     q = check_tensor4(q, "q")
     k = check_tensor4(k, "k")
@@ -241,6 +254,8 @@ def muse_acausal(q, k, v, config: MuseConfig, threads: int = 1,
     c_q = 1 if config.ablation == "single_query_cluster" else config.c_q
     if c_q > n_q or config.c_k > n_k:
         raise ValueError("sequence shorter than cluster count")
+    if clusters is not None:
+        _check_clusters(clusters, b, h, n_q, n_k, c_q, config.c_k)
     scale = config.resolve_scale(d)
     y = np.empty((b, h, n_q, d), dtype=q.dtype)
     mu = np.empty((b, h, n_q), dtype=q.dtype)
@@ -248,24 +263,14 @@ def muse_acausal(q, k, v, config: MuseConfig, threads: int = 1,
     def run(i):
         bi, hi = divmod(i, h)
         qs = q[bi, hi] * np.asarray(scale, dtype=q.dtype)
-        if clusters is None:
-            qc = kmeans(qs, c_q, config.kmeans_iters, config.cap_ratio,
-                        make_rng(derive_seed(config.seed, bi, hi, 0)))
-            kc = kmeans(k[bi, hi], config.c_k, config.kmeans_iters, config.cap_ratio,
-                        make_rng(derive_seed(config.seed, bi, hi, 1)))
-        else:
-            qc = _clustering_from_assignments(qs, clusters.q_assign[bi, hi], c_q)
-            kc = _clustering_from_assignments(k[bi, hi], clusters.k_assign[bi, hi], config.c_k)
-        key_groups = [k[bi, hi][m] for m in kc.members]
-        value_groups = [v[bi, hi][m] for m in kc.members]
-        summaries = stage1(qc.centroids, key_groups, value_groups)
+        qc, kc = _cluster_slice(qs, k[bi, hi], config, c_q, bi, hi, clusters)
+        summaries = stage1(qc.centroids, kc.groups(k[bi, hi]), kc.groups(v[bi, hi]))
         dipoles = aggregate_dipoles(summaries)
-        residuals = [qs[m] - qc.centroids[j] for j, m in enumerate(qc.members)]
+        residuals = qc.groups(decompose(qs, qc).residual)
         vmean = v[bi, hi].mean(axis=0) if config.ablation == "no_monopole" else None
         y_rows, mu_rows = final_stage(residuals, summaries, dipoles, config.ablation, vmean)
-        for j, m in enumerate(qc.members):
-            y[bi, hi][m] = y_rows[j]
-            mu[bi, hi][m] = mu_rows[j]
+        y[bi, hi, qc.order] = np.concatenate(y_rows)
+        mu[bi, hi, qc.order] = np.concatenate(mu_rows)
 
     _map_slices(run, b * h, threads)
     return AttentionResult(y=y, mu=mu)

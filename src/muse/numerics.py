@@ -88,3 +88,28 @@ def stable_softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
         raise ValueError("fully masked row")
     ex = np.exp(scores - hi)
     return ex / np.sum(ex, axis=axis, keepdims=True)
+
+
+def softmax_logsumexp_inplace(scores: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax and logsumexp along `axis` from a single exp, computed in place.
+
+    `scores` (a writable float array) is overwritten with the softmax and
+    returned together with the logsumexp, which has `axis` removed; both equal
+    what `stable_softmax` and `stable_logsumexp` return. Raises as
+    `stable_softmax` does: on an empty reduction, NaN input, or a fully
+    masked (all -inf) slice.
+    """
+    if scores.shape == () or scores.shape[axis] == 0:
+        raise ValueError("empty reduction")
+    hi = np.max(scores, axis=axis, keepdims=True)
+    if np.isnan(hi).any():  # max propagates NaN, so this sees every NaN entry
+        raise ValueError("NaN in softmax input")
+    if not np.isfinite(hi).all():
+        raise ValueError("fully masked row")
+    np.subtract(scores, hi, out=scores)
+    np.exp(scores, out=scores)
+    total = np.sum(scores, axis=axis, keepdims=True)
+    scores /= total
+    lse = np.log(total)
+    lse += hi
+    return scores, np.squeeze(lse, axis=axis)

@@ -14,6 +14,8 @@ from muse.clustering import (
 )
 from muse.numerics import make_rng
 
+from oracles import naive_cap_assign
+
 
 def blob_pair(seed, n_each=40, d=4, separation=20.0):
     rng = np.random.default_rng(seed)
@@ -111,6 +113,7 @@ def test_kmeans_centroid_is_member_mean():
     x = rng.normal(size=(50, 4))
     cl = kmeans(x, 5, 2, 1.5, make_rng(1))
     for j, members in enumerate(cl.members):
+        assert np.array_equal(members, np.flatnonzero(cl.assignments == j))
         np.testing.assert_allclose(cl.centroids[j], x[members].mean(axis=0), atol=1e-10)
 
 
@@ -225,6 +228,26 @@ def test_cap_assign_property(seed):
     got = cap_assign(x, centroids, cap=cap)
     counts = np.bincount(got, minlength=c)
     assert counts.max() <= cap and counts.sum() == n
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 60), c_frac=st.floats(0.0, 1.0),
+       distinct=st.sampled_from([1, 2, 5, None]), slack=st.sampled_from([1.0, 1.1, 1.5, 4.0]),
+       dtype=st.sampled_from([np.float32, np.float64]))
+@settings(max_examples=300, deadline=None)
+def test_cap_assign_equals_naive_oracle(seed, n, c_frac, distinct, slack, dtype):
+    # few distinct points make duplicate tokens and exact distance ties; centroids
+    # drawn from the tokens, as k-means seeds them, tie exactly with duplicates
+    rng = np.random.default_rng(seed)
+    c = 1 + int(c_frac * (min(n, 20) - 1))
+    x = rng.normal(size=(n, 3))
+    if distinct is not None:
+        x = x[rng.integers(0, min(distinct, n), size=n)]
+    x = x.astype(dtype)
+    centroids = x[rng.choice(n, size=c, replace=False)]
+    if seed % 2:
+        centroids = centroids + rng.normal(scale=0.1, size=centroids.shape).astype(dtype)
+    cap = int(np.ceil(slack * n / c))
+    assert np.array_equal(cap_assign(x, centroids, cap), naive_cap_assign(x, centroids, cap))
 
 
 def test_decompose_reconstruction_within_one_ulp():

@@ -288,6 +288,37 @@ def test_muse_deterministic_per_seed():
     assert not np.array_equal(a.y, c.y)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_frozen_kmeans_clusters_reproduce_the_unfrozen_call_bitwise(dtype):
+    q, k, v = make_qkv(27, b=2, h=2, n=64, d=8, dtype=dtype)
+    cfg = MuseConfig(c_q=8, c_k=8, seed=3)
+    free = muse_acausal(q, k, v, cfg)
+    frozen = muse_acausal(q, k, v, cfg, clusters=cluster_tokens(q, k, cfg))
+    assert np.array_equal(free.y, frozen.y) and np.array_equal(free.mu, frozen.mu)
+
+
+@pytest.mark.parametrize("field, label", [("q_assign", 3), ("q_assign", -1), ("k_assign", 4)])
+def test_frozen_labels_out_of_range_rejected(field, label):
+    # every cluster keeps a member, so only the range check can catch the label
+    q, k, v = make_qkv(28, n=20, d=4)
+    clusters = fixed_clusters(29, 20, 3, 4)
+    getattr(clusters, field)[0, 0, -1] = label
+    with pytest.raises(ValueError, match=f"{field} labels must lie in"):
+        muse_acausal(q, k, v, MuseConfig(c_q=3, c_k=4, seed=0), clusters=clusters)
+
+
+def test_frozen_labels_wrong_shape_or_dtype_rejected():
+    q, k, v = make_qkv(30, n=20, d=4)
+    cfg = MuseConfig(c_q=3, c_k=4, seed=0)
+    clusters = fixed_clusters(31, 20, 3, 4)
+    short = MuseClusters(q_assign=clusters.q_assign[..., :-1], k_assign=clusters.k_assign)
+    with pytest.raises(ValueError, match=r"q_assign must have shape \(1, 1, 20\)"):
+        muse_acausal(q, k, v, cfg, clusters=short)
+    floats = MuseClusters(q_assign=clusters.q_assign, k_assign=clusters.k_assign.astype(float))
+    with pytest.raises(ValueError, match="k_assign must hold integer labels"):
+        muse_acausal(q, k, v, cfg, clusters=floats)
+
+
 def test_muse_rejects_short_sequences():
     q, k, v = make_qkv(26, n=8, d=4)
     with pytest.raises(ValueError, match="shorter than cluster count"):

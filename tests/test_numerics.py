@@ -9,6 +9,7 @@ from muse.numerics import (
     derive_seed,
     make_rng,
     resolve_dtype,
+    softmax_logsumexp_inplace,
     stable_logsumexp,
     stable_softmax,
 )
@@ -91,6 +92,27 @@ def test_softmax_fully_masked_row_raises():
 def test_softmax_preserves_dtype():
     p32 = stable_softmax(np.zeros(4, dtype=np.float32), axis=-1)
     assert p32.dtype == np.float32
+
+
+@given(st.lists(st.floats(min_value=-100, max_value=100) | st.just(-np.inf), min_size=6, max_size=30),
+       st.sampled_from([np.float32, np.float64]))
+@settings(max_examples=100, deadline=None)
+def test_softmax_logsumexp_inplace_equals_separate_calls(values, dtype):
+    s = np.array(values, dtype=dtype)[: len(values) // 3 * 3].reshape(3, -1)
+    s[:, 0] = np.nan_to_num(s[:, 0], neginf=0.0)  # no fully masked row
+    for axis, scores in ((-1, s), (0, np.ascontiguousarray(s.T))):
+        p, lse = softmax_logsumexp_inplace(scores.copy(), axis=axis)
+        assert np.array_equal(p, stable_softmax(scores, axis=axis))
+        assert np.array_equal(lse, stable_logsumexp(scores, axis=axis))
+
+
+def test_softmax_logsumexp_inplace_errors():
+    with pytest.raises(ValueError, match="NaN"):
+        softmax_logsumexp_inplace(np.array([[0.0, np.nan], [1.0, 2.0]]))
+    with pytest.raises(ValueError, match="fully masked"):
+        softmax_logsumexp_inplace(np.array([[0.0, 1.0], [-np.inf, -np.inf]]))
+    with pytest.raises(ValueError, match="empty"):
+        softmax_logsumexp_inplace(np.zeros((2, 0)))
 
 
 def test_make_rng_reproducible():
