@@ -14,7 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import check_tensor4, stable_logsumexp, stable_softmax
+from .numerics import check_tensor4, softmax_logsumexp_inplace, stable_logsumexp
+# perfbench/tracing.py wraps muse.attention.stable_softmax, so the name stays importable here
+from .numerics import stable_softmax  # noqa: F401
+
+TILE = 256  # query rows per kernel tile; 128 and 256 run level on the benchmark shapes, 512 slower
 
 
 @dataclass
@@ -61,14 +65,50 @@ def _map_slices(fn, n_slices: int, threads: int):
             list(ex.map(fn, range(n_slices)))
 
 
-def _scores_to_result(s: np.ndarray, v: np.ndarray):
-    """(n_q, n_k) masked score matrix -> (y rows, mu rows)."""
-    finite_max = np.max(s, axis=-1)
-    if not np.isfinite(finite_max).all():
-        raise ValueError("fully masked query row")
-    mu = stable_logsumexp(s, axis=-1)
-    p = stable_softmax(s, axis=-1)
-    return p @ v, mu
+def _attend(q, k, v, bias, scale, threads, window=None) -> AttentionResult:
+    """The one exact kernel behind `attend`, `attend_causal` and `attend_sliding`.
+
+    Per (batch, head) slice it walks query rows in tiles of TILE. A tile
+    computes scores only over the keys its rows can see (all keys, or
+    [lo - window + 1, up) when windowed), adds the bias in place, writes -inf
+    where key j is outside row i's window (i - window < j <= i), and takes
+    softmax and logsumexp from one in-place exp. Rows are independent, so
+    the tiling does not change any row's result beyond matmul reassociation.
+    """
+    if scale is None:
+        scale = 1.0 / math.sqrt(q.shape[3])
+    if not 0 < scale < math.inf:
+        raise ValueError("scale must be positive and finite")
+    b, h, n_q, d = q.shape
+    n_k = k.shape[2]
+    if window is not None and n_q != n_k:
+        raise ValueError("masked variants require aligned positions (n_q == n_k)")
+    y = np.empty((b, h, n_q, d), dtype=q.dtype)
+    mu = np.empty((b, h, n_q), dtype=q.dtype)
+
+    def run(i):
+        bi, hi = divmod(i, h)
+        qs = q[bi, hi] * np.asarray(scale, dtype=q.dtype)
+        ks, vs = k[bi, hi], v[bi, hi]
+        bs = None if bias is None else bias[bi, hi].astype(q.dtype)
+        for lo in range(0, n_q, TILE):
+            up = min(lo + TILE, n_q)
+            k0, k1 = (0, n_k) if window is None else (max(0, lo - window + 1), up)
+            s = qs[lo:up] @ ks[k0:k1].T
+            if bs is not None:
+                s += bs[k0:k1]
+            if window is not None:
+                # rows [lo, up) all see keys [up - window, lo], so the mask covers the
+                # columns from lo on, and from k0 on only if k0 < up - window
+                c0 = lo if up - window <= k0 else k0
+                rows = np.arange(lo, up)[:, None]
+                cols = np.arange(c0, k1)
+                np.copyto(s[:, c0 - k0:], -np.inf, where=(cols > rows) | (cols <= rows - window))
+            p, mu[bi, hi, lo:up] = softmax_logsumexp_inplace(s)
+            y[bi, hi, lo:up] = p @ vs[k0:k1]
+
+    _map_slices(run, b * h, threads)
+    return AttentionResult(y=y, mu=mu)
 
 
 def attend(q, k, v, bias=None, scale: float | None = None, threads: int = 1) -> AttentionResult:
@@ -77,72 +117,21 @@ def attend(q, k, v, bias=None, scale: float | None = None, threads: int = 1) -> 
     bias is per key, shape (batch, heads, n_k); -inf entries mask keys out.
     scale defaults to 1/sqrt(d) and multiplies scores only, never the inputs.
     """
-    q, k, v, bias = _check_qkv(q, k, v, bias)
-    if scale is None:
-        scale = 1.0 / math.sqrt(q.shape[3])
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    b, h, n_q, d = q.shape
-    y = np.empty((b, h, n_q, d), dtype=q.dtype)
-    mu = np.empty((b, h, n_q), dtype=q.dtype)
-    # chunk query rows to bound the live score-matrix size; per-row softmax
-    # makes chunking bit-identical to the one-shot computation
-    chunk = 1024
-
-    def run(i):
-        bi, hi = divmod(i, h)
-        qs = q[bi, hi] * np.asarray(scale, dtype=q.dtype)
-        kt, vs = k[bi, hi].T, v[bi, hi]
-        for lo in range(0, n_q, chunk):
-            hi_ = min(lo + chunk, n_q)
-            s = qs[lo:hi_] @ kt
-            if bias is not None:
-                s = s + bias[bi, hi][None, :].astype(q.dtype)
-            y[bi, hi, lo:hi_], mu[bi, hi, lo:hi_] = _scores_to_result(s, vs)
-
-    _map_slices(run, b * h, threads)
-    return AttentionResult(y=y, mu=mu)
-
-
-def _masked_attend(q, k, v, scale, mask_fn, threads):
-    """Shared core for position-masked variants; mask_fn(n) gives the allowed (i, j) pairs."""
-    q, k, v, _ = _check_qkv(q, k, v, None)
-    if q.shape[2] != k.shape[2]:
-        raise ValueError("masked variants require aligned positions (n_q == n_k)")
-    if scale is None:
-        scale = 1.0 / math.sqrt(q.shape[3])
-    b, h, n, d = q.shape
-    allowed = mask_fn(n)
-    neg = np.asarray(-np.inf, dtype=q.dtype)
-    y = np.empty((b, h, n, d), dtype=q.dtype)
-    mu = np.empty((b, h, n), dtype=q.dtype)
-
-    def run(i):
-        bi, hi = divmod(i, h)
-        s = (q[bi, hi] * np.asarray(scale, dtype=q.dtype)) @ k[bi, hi].T
-        s = np.where(allowed, s, neg)
-        y[bi, hi], mu[bi, hi] = _scores_to_result(s, v[bi, hi])
-
-    _map_slices(run, b * h, threads)
-    return AttentionResult(y=y, mu=mu)
+    return _attend(*_check_qkv(q, k, v, bias), scale, threads)
 
 
 def attend_causal(q, k, v, scale: float | None = None, threads: int = 1) -> AttentionResult:
     """Causal attention: key j contributes to query i only if j <= i."""
-    return _masked_attend(q, k, v, scale, lambda n: np.tril(np.ones((n, n), dtype=bool)), threads)
+    q, k, v, _ = _check_qkv(q, k, v, None)
+    return _attend(q, k, v, None, scale, threads, window=q.shape[2])
 
 
 def attend_sliding(q, k, v, window: int, scale: float | None = None, threads: int = 1) -> AttentionResult:
     """Sliding-window attention: key j contributes to query i iff i - window < j <= i."""
     if window < 1:
         raise ValueError("window must be >= 1")
-
-    def mask(n):
-        i = np.arange(n)[:, None]
-        j = np.arange(n)[None, :]
-        return (j <= i) & (j > i - window)
-
-    return _masked_attend(q, k, v, scale, mask, threads)
+    q, k, v, _ = _check_qkv(q, k, v, None)
+    return _attend(q, k, v, None, scale, threads, window=window)
 
 
 def merge_partials(parts: list[AttentionResult]) -> AttentionResult:

@@ -51,11 +51,17 @@ def derive_seed(seed: int, *path: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+def _check_overflow(hi: np.ndarray) -> None:
+    """Reject a +inf slice max: the scores overflowed, which is not a mask."""
+    if (hi == np.inf).any():
+        raise ValueError("score overflow: +inf in the scores (input norms too large for the dtype)")
+
+
 def stable_logsumexp(scores: np.ndarray, axis: int = -1, keepdims: bool = False) -> np.ndarray:
     """max-shifted log-sum-exp along `axis`; finite for any finite input.
 
     -inf entries act as mask sentinels and contribute exp(-inf) = 0; a fully
-    masked slice reduces to -inf. NaN input is rejected.
+    masked slice reduces to -inf. NaN and +inf input are rejected.
     """
     scores = np.asarray(scores)
     if scores.shape == () or scores.shape[axis] == 0:
@@ -63,6 +69,7 @@ def stable_logsumexp(scores: np.ndarray, axis: int = -1, keepdims: bool = False)
     if np.isnan(scores).any():
         raise ValueError("NaN in logsumexp input")
     hi = np.max(scores, axis=axis, keepdims=True)
+    _check_overflow(hi)
     # for all-masked slices exp(-inf - -inf) would be NaN; pin the shift to 0 there
     shift = np.where(np.isfinite(hi), hi, 0.0)
     with np.errstate(divide="ignore"):  # log(0) = -inf is the wanted all-masked result
@@ -76,7 +83,8 @@ def stable_logsumexp(scores: np.ndarray, axis: int = -1, keepdims: bool = False)
 def stable_softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
     """Shifted softmax along `axis`. -inf entries map to exactly 0.
 
-    Raises on an empty reduction and on any fully masked (all -inf) slice.
+    Raises on an empty reduction, on a +inf score and on any fully masked
+    (all -inf) slice.
     """
     scores = np.asarray(scores)
     if scores.shape == () or scores.shape[axis] == 0:
@@ -84,6 +92,7 @@ def stable_softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
     if np.isnan(scores).any():
         raise ValueError("NaN in softmax input")
     hi = np.max(scores, axis=axis, keepdims=True)
+    _check_overflow(hi)
     if not np.isfinite(hi).all():
         raise ValueError("fully masked row")
     ex = np.exp(scores - hi)
@@ -96,14 +105,15 @@ def softmax_logsumexp_inplace(scores: np.ndarray, axis: int = -1) -> tuple[np.nd
     `scores` (a writable float array) is overwritten with the softmax and
     returned together with the logsumexp, which has `axis` removed; both equal
     what `stable_softmax` and `stable_logsumexp` return. Raises as
-    `stable_softmax` does: on an empty reduction, NaN input, or a fully
-    masked (all -inf) slice.
+    `stable_softmax` does: on an empty reduction, NaN input, a +inf score,
+    or a fully masked (all -inf) slice.
     """
     if scores.shape == () or scores.shape[axis] == 0:
         raise ValueError("empty reduction")
     hi = np.max(scores, axis=axis, keepdims=True)
     if np.isnan(hi).any():  # max propagates NaN, so this sees every NaN entry
         raise ValueError("NaN in softmax input")
+    _check_overflow(hi)
     if not np.isfinite(hi).all():
         raise ValueError("fully masked row")
     np.subtract(scores, hi, out=scores)

@@ -1,12 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from muse import attend, attend_causal, attend_sliding, merge_partials
-from muse.attention import AttentionResult
+from muse.attention import TILE, AttentionResult
 
-from oracles import naive_attend, naive_attend_causal, naive_attend_sliding, naive_merge
+from oracles import naive_attend, naive_attend_causal, naive_attend_slice, naive_attend_sliding, naive_merge
 
 
 def make_qkv(seed, b=1, h=1, n=12, d=4, dtype=np.float64):
@@ -108,14 +110,14 @@ def test_attend_threads_bit_identical():
 
 
 def test_attend_chunked_rows_consistent():
-    # n spanning the internal chunk width: repeated calls are bit-identical,
+    # n spanning several query-row tiles: repeated calls are bit-identical,
     # and each row agrees with a standalone single-query call to within
     # matmul-kernel reassociation noise
     q, k, v = make_qkv(11, n=2060, d=4)
     whole = attend(q, k, v)
     again = attend(q, k, v)
     assert np.array_equal(whole.y, again.y) and np.array_equal(whole.mu, again.mu)
-    for idx in (0, 1023, 1024, 1025, 2059):
+    for idx in (0, TILE - 1, TILE, TILE + 1, 1023, 1024, 1025, 2059):
         single = attend(q[:, :, idx:idx + 1], k, v)
         np.testing.assert_allclose(whole.y[:, :, idx], single.y[:, :, 0], atol=1e-13)
         np.testing.assert_allclose(whole.mu[:, :, idx], single.mu[:, :, 0], atol=1e-13)
@@ -249,3 +251,136 @@ def test_merge_shape_mismatch_raises():
 def test_result_shape_validation():
     with pytest.raises(ValueError, match="inconsistent result shapes"):
         AttentionResult(y=np.zeros((1, 1, 3, 2)), mu=np.zeros((1, 1, 4)))
+
+
+ENTRY_POINTS = {
+    "attend": attend,
+    "attend_causal": attend_causal,
+    "attend_sliding": lambda q, k, v, **kw: attend_sliding(q, k, v, window=3, **kw),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("scale", [0.0, -1.0, np.nan, np.inf])
+def test_every_entry_point_rejects_bad_scale(entry, scale):
+    q, k, v = make_qkv(23, n=6, d=3)
+    with pytest.raises(ValueError, match="scale must be positive"):
+        ENTRY_POINTS[entry](q, k, v, scale=scale)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("entry", ["attend", "attend_causal"])
+def test_f32_score_overflow_is_not_reported_as_masking(entry):
+    # 1e20 is finite in f32, but scale * q . k = 2.5e39 is not
+    q = np.full((1, 1, 4, 16), 1e20, dtype=np.float32)
+    with pytest.raises(ValueError, match="score overflow"):
+        ENTRY_POINTS[entry](q, q, q)
+
+
+# Tile-boundary checks against the loop oracle. The oracle runs on the rows
+# next to every tile edge (plus the first and last), over the keys each row
+# sees, which is what naive_attend_sliding does for every row. Inputs are drawn
+# in f32 and upcast for the f64 calls, so one oracle serves both dtypes.
+BOUNDARY_NS = [TILE - 1, TILE, TILE + 1, 2 * TILE + 1, 1100]
+
+
+def boundary_rows(n):
+    edges = range(0, n, TILE)
+    return sorted({r for e in edges for r in (e - 1, e, e + 1) if 0 <= r < n} | {n - 1})
+
+
+def oracle_rows(q, k, v, rows, window=None, bias=None):
+    q, k, v = q[0, 0], k[0, 0], v[0, 0]
+    y, mu = [], []
+    for i in rows:
+        k0, k1 = (0, k.shape[0]) if window is None else (max(0, i - window + 1), i + 1)
+        bias_s = None if bias is None else bias[0, 0, k0:k1]
+        yi, mi = naive_attend_slice(q[i:i + 1], k[k0:k1], v[k0:k1], bias=bias_s)
+        y.append(yi[0])
+        mu.append(mi[0])
+    return np.array(y), np.array(mu)
+
+
+def boundary_qkv(n, seed=24):
+    rng = np.random.default_rng(seed + n)
+    return [rng.normal(size=(1, 1, n, 16)).astype(np.float32) for _ in range(3)]
+
+
+def assert_rows_match(out, rows, want, dtype):
+    # f64: reassociation noise only; f32: the benchmark's 64-eps gate, relative to 1 + |want|
+    tol = 1e-12 if dtype == np.float64 else 64 * float(np.finfo(np.float32).eps)
+    for got, ref in ((out.y[0, 0, rows], want[0]), (out.mu[0, 0, rows], want[1])):
+        assert got.dtype == dtype
+        assert np.all(np.abs(got - ref) <= tol * (1.0 + np.abs(ref))), np.max(np.abs(got - ref))
+
+
+@pytest.mark.parametrize("n", BOUNDARY_NS)
+@pytest.mark.parametrize("masked", [False, True])
+def test_attend_at_tile_boundaries(n, masked):
+    q, k, v = boundary_qkv(n)
+    bias = None
+    if masked:
+        rng = np.random.default_rng(n)
+        bias = rng.normal(size=(1, 1, n))
+        bias[rng.random(size=(1, 1, n)) < 0.4] = -np.inf
+        bias[..., 0] = 0.0  # every row keeps one key
+    rows = boundary_rows(n)
+    want = oracle_rows(q, k, v, rows, bias=bias)
+    for dtype in (np.float32, np.float64):
+        out = attend(*(a.astype(dtype) for a in (q, k, v)), bias=bias)
+        assert_rows_match(out, rows, want, dtype)
+
+
+@pytest.mark.parametrize("n", BOUNDARY_NS)
+@pytest.mark.parametrize("window", [1, TILE - 1, TILE, TILE + 1, None])
+def test_causal_and_sliding_at_tile_boundaries(n, window):
+    q, k, v = boundary_qkv(n)
+    rows = boundary_rows(n)
+    want = oracle_rows(q, k, v, rows, window=n if window is None else window)
+    for dtype in (np.float32, np.float64):
+        qd, kd, vd = (a.astype(dtype) for a in (q, k, v))
+        if window is None:
+            assert_rows_match(attend_causal(qd, kd, vd), rows, want, dtype)
+            # window = n is causal attention, bit for bit
+            slid = attend_sliding(qd, kd, vd, window=n)
+            causal = attend_causal(qd, kd, vd)
+            assert np.array_equal(slid.y, causal.y) and np.array_equal(slid.mu, causal.mu)
+        else:
+            assert_rows_match(attend_sliding(qd, kd, vd, window=window), rows, want, dtype)
+
+
+@pytest.mark.parametrize("j", [TILE - 1, TILE, TILE + 1])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_causal_strict_at_tile_boundary(j, dtype):
+    q, k, v = (a.astype(dtype) for a in boundary_qkv(2 * TILE + 1))
+    base = attend_causal(q, k, v)
+    k2, v2 = k.copy(), v.copy()
+    k2[:, :, j] += 3.0
+    v2[:, :, j] -= 2.0
+    bumped = attend_causal(q, k2, v2)
+    assert np.array_equal(base.y[:, :, :j], bumped.y[:, :, :j])
+    assert np.array_equal(base.mu[:, :, :j], bumped.mu[:, :, :j])
+    assert not np.array_equal(base.y[:, :, j], bumped.y[:, :, j])
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_threads_bit_identical_across_tiles(entry):
+    q, k, v = make_qkv(25, b=2, h=3, n=TILE + 44, d=6, dtype=np.float32)
+    a = ENTRY_POINTS[entry](q, k, v, threads=1)
+    b = ENTRY_POINTS[entry](q, k, v, threads=4)
+    assert np.array_equal(a.y, b.y) and np.array_equal(a.mu, b.mu)
+
+
+@pytest.mark.parametrize("entry", ["attend", "attend_causal"])
+def test_peak_memory_stays_below_a_quarter_score_matrix(entry):
+    # a dense (n, n) mask or score matrix would show up here: one f32 (n, n)
+    # matrix is 67 MB at n = 4096
+    n = 4096
+    q, k, v = make_qkv(26, n=n, d=16, dtype=np.float32)
+    tracemalloc.start()
+    try:
+        ENTRY_POINTS[entry](q, k, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 4 / 4, f"peak {peak / 1e6:.1f} MB"

@@ -115,6 +115,19 @@ def test_softmax_logsumexp_inplace_errors():
         softmax_logsumexp_inplace(np.zeros((2, 0)))
 
 
+def test_score_overflow_is_not_a_masked_row():
+    # a +inf max means the scores overflowed; all -inf still means "fully masked"
+    with pytest.raises(ValueError, match="score overflow"):
+        stable_logsumexp(np.array([np.inf, 0.0]), axis=-1)
+    with pytest.raises(ValueError, match="score overflow"):
+        stable_softmax(np.array([0.0, np.inf]), axis=-1)
+    with pytest.raises(ValueError, match="score overflow"):
+        softmax_logsumexp_inplace(np.array([[0.0, 1.0], [np.inf, -np.inf]], dtype=np.float32))
+    assert stable_logsumexp(np.array([-np.inf, -np.inf]), axis=-1) == -np.inf
+    with pytest.raises(ValueError, match="fully masked"):
+        softmax_logsumexp_inplace(np.array([[-np.inf, -np.inf]]))
+
+
 def test_make_rng_reproducible():
     a = make_rng(7).normal(size=8)
     b = make_rng(7).normal(size=8)
