@@ -2,8 +2,11 @@
 
 Initialization samples points proportional to their squared norm, a fixed
 number of uncapped Lloyd iterations follow, and a final capacity-capped
-assignment pass plus one recentering produce the segment-sorted layout the
-summary stages consume. Everything is deterministic given the generator.
+assignment plus one recentering produce the segment-sorted layout the
+summary stages consume. The capped assignment runs in proposal rounds
+(`cap_assign`): tokens whose nearest centroid is over its cap compete for
+its room by margin, and the rejected ones move on to their nearest centroid
+with room left. Everything is deterministic given the generator.
 """
 
 from __future__ import annotations
@@ -149,37 +152,64 @@ def _repair_empties(x, centroids, assign, d2=None):
 
 
 def cap_assign(x: np.ndarray, centroids: np.ndarray, cap: int) -> np.ndarray:
-    """Greedy capacity-capped assignment.
+    """Capacity-capped assignment in proposal rounds.
 
-    Tokens are processed in ascending order of (distance to nearest centroid
-    minus distance to second nearest), i.e. strongest preference first; each
-    takes the nearest centroid with remaining capacity, spilling outward in
-    distance order (ties toward the lowest id). The token forced to spill is
-    the one with the smallest margin between its top two choices.
+    In the first round every token proposes to its nearest centroid. A
+    centroid with more proposals than room left accepts them in priority
+    order up to its room; acceptance is final. The priority is ascending
+    margin (squared distance to the nearest centroid minus that to the second
+    nearest, so the most attached token first), ties by token id. Each
+    rejected token then proposes to its nearest centroid that still has room
+    (ties toward the lowest id), and rounds repeat until every token is placed.
+
+    So every centroid keeps min(count_j, cap) of the tokens nearest to it, the
+    most any capped assignment can, and the token that spills from a full
+    centroid is the one with the smallest margin. Only tokens whose nearest
+    centroid is over its cap compete, so only their margins are computed.
+    Each rejected token ranks its centroids once and moves a pointer past the
+    full ones, so all rounds together take at most c pointer steps per
+    rejected token, however many rounds there are.
     """
     x = np.asarray(x)
     n, c = x.shape[0], centroids.shape[0]
     if cap * c < n:
         raise ValueError(f"infeasible capacity: cap={cap} x c={c} < n={n}")
     d2 = _sq_dists(x, centroids)
-    nearest = np.argmin(d2, axis=1)
-    counts = np.bincount(nearest, minlength=c)
-    if np.all(counts <= cap):
-        return nearest.astype(np.int64)  # caps non-binding: identical to uncapped (always when c == 1)
-    part = np.partition(d2, 1, axis=1)
-    assign = nearest.tolist()
-    remaining = [cap] * c
-    for t in np.argsort(part[:, 0] - part[:, 1], kind="stable").tolist():
-        if remaining[assign[t]] > 0:
-            remaining[assign[t]] -= 1
-            continue
-        # the nearest centroid is full: only now rank this token's choices
-        for j in np.argsort(d2[t], kind="stable").tolist():
-            if remaining[j] > 0:
-                assign[t] = j
-                remaining[j] -= 1
-                break
-    return np.array(assign, dtype=np.int64)
+    assign = np.argmin(d2, axis=1)
+    counts = np.bincount(assign, minlength=c)
+    over = counts > cap
+    if not over.any():
+        return assign.astype(np.int64)  # caps non-binding: identical to uncapped (always when c == 1)
+    tok = np.flatnonzero(over[assign])  # the competitors
+    top2 = np.sort(d2[tok], axis=1)  # a full sort of the short rows beats np.partition here
+    tok = tok[np.argsort(top2[:, 0] - top2[:, 1], kind="stable")]  # priority order, ties by id
+    target = assign[tok]
+    room = np.where(over, cap, cap - counts)  # the non-competitors keep their nearest centroid
+    pref = None
+    while True:
+        assign[tok] = target
+        # each centroid accepts its proposals in priority order, up to its room
+        by = np.argsort(target, kind="stable")
+        grouped = target[by]
+        rank = np.arange(by.size) - np.searchsorted(grouped, grouped)
+        rejected = np.sort(by[rank >= room[grouped]])  # back in priority order
+        room -= np.minimum(np.bincount(target, minlength=c), room)
+        if not rejected.size:
+            return assign.astype(np.int64)
+        tok = tok[rejected]
+        if pref is None:  # after the first round, rank the rejected tokens' centroids once
+            pref = np.argsort(d2[tok], axis=1, kind="stable").ravel()  # ties by centroid id
+            at = np.arange(tok.size) * c  # flat index of each token's pointer into pref
+        else:
+            at = at[rejected]
+        # a rejection fills the centroid, so every pointer moves on, then past full ones
+        at += 1
+        target = pref[at]
+        stale = np.flatnonzero(room[target] == 0)
+        while stale.size:
+            at[stale] += 1
+            target[stale] = pref[at[stale]]
+            stale = stale[room[target[stale]] == 0]
 
 
 def kmeans(

@@ -51,8 +51,8 @@ class MuseConfig:
             raise ValueError("kmeans_iters must be >= 1")
         if self.cap_ratio < 1.0:
             raise ValueError("cap_ratio must be >= 1")
-        if self.scale is not None and self.scale <= 0:
-            raise ValueError("scale must be positive")
+        if self.scale is not None and not 0 < self.scale < math.inf:
+            raise ValueError("scale must be positive and finite")
         if self.ablation not in ABLATIONS:
             raise ValueError(f"unknown ablation {self.ablation!r}, expected one of {ABLATIONS}")
 
@@ -110,12 +110,17 @@ def stage1(qbar: np.ndarray, key_clusters: list, value_clusters: list) -> Cluste
             raise ValueError("empty key cluster")
     kpad, mask, sizes = _padded(key_clusters)
     vpad, _, _ = _padded(value_clusters)
-    # scores laid out (c_k, c_q, U): one batched product per key cluster, here and for kbar/vbar
-    s = np.matmul(qbar, kpad.transpose(0, 2, 1))
-    np.copyto(s, -np.inf, where=~mask[:, None, :])
-    p, mu = softmax_logsumexp_inplace(s)
-    kbar = np.matmul(p, kpad).transpose(1, 0, 2)
-    vbar = np.matmul(p, vpad).transpose(1, 0, 2)
+    c_k, u_max, d = kpad.shape
+    # scores laid out (c_k, U, c_q) from one GEMM: the softmax reduces over U with
+    # every step vectorised along c_q, where reducing the short last axis of a
+    # (c_k, c_q, U) layout costs several times more. Each p[j].T is a
+    # column-major matrix that BLAS takes as it lies, so numpy makes no copy of
+    # p, and kbar/vbar come out as (c_k, c_q, d) for final_stage's products.
+    s = (kpad.reshape(-1, d) @ qbar.T).reshape(c_k, u_max, -1)
+    np.copyto(s, -np.inf, where=~mask[:, :, None])
+    p, mu = softmax_logsumexp_inplace(s, axis=1)
+    kbar = np.matmul(p.transpose(0, 2, 1), kpad).transpose(1, 0, 2)
+    vbar = np.matmul(p.transpose(0, 2, 1), vpad).transpose(1, 0, 2)
     del s, p  # free the scores before the covariance temporaries
     counts = sizes[:, None, None].astype(kpad.dtype)
     # deviations from the plain member means, zeroed again in the padded slots

@@ -170,40 +170,46 @@ def naive_muse_slice(q, k, v, q_assign, k_assign, c_q, c_k, scale, ablation="ful
     return y, mu_out
 
 
-def naive_cap_assign(x, centroids, cap):
-    """The greedy capacity-capped assignment, token by token.
+def sq_dists(x, centroids):
+    """(n, c) squared distances by the library's matmul formula, in the input
+    dtype, so that ties and nearest centroids match the library's exactly."""
+    xx = np.sum(x * x, axis=1)[:, None]
+    cc = np.sum(centroids * centroids, axis=1)[None, :]
+    return np.maximum(xx - 2.0 * (x @ centroids.T) + cc, 0.0)
 
-    Tokens go in ascending order of (nearest minus second-nearest squared
-    distance), ties by token index; each takes the nearest centroid with room
-    left, trying centroids in ascending distance order, ties by centroid id.
-    Distances use the library's matmul formula in the input dtype, so equal
-    inputs give equal ties and the result can be compared exactly.
+
+def naive_cap_assign(x, centroids, cap):
+    """Capacity-capped assignment in proposal rounds, token by token.
+
+    Each round, every unplaced token proposes to its nearest centroid with
+    room left at the start of the round (ties by centroid id). Each centroid
+    accepts its proposals in priority order up to its room, and acceptance is
+    final. The priority is ascending (nearest minus second-nearest squared
+    distance), ties by token index. Distances use the library's matmul formula
+    in the input dtype, so equal inputs give equal ties and the result can be
+    compared exactly.
     """
     x = np.asarray(x)
     n, c = x.shape[0], centroids.shape[0]
     if cap * c < n:
         raise ValueError(f"infeasible capacity: cap={cap} x c={c} < n={n}")
-    xx = np.sum(x * x, axis=1)[:, None]
-    cc = np.sum(centroids * centroids, axis=1)[None, :]
-    d2 = np.maximum(xx - 2.0 * (x @ centroids.T) + cc, 0.0)
-    nearest = np.argmin(d2, axis=1)
-    counts = np.bincount(nearest, minlength=c)
-    if np.all(counts <= cap):
-        return nearest.astype(np.int64)
-    if c == 1:
-        return np.zeros(n, dtype=np.int64)
-    part = np.partition(d2, 1, axis=1)
-    order = np.argsort(part[:, 0] - part[:, 1], kind="stable")
-    pref = np.argsort(d2, axis=1, kind="stable")
-    assign = np.empty(n, dtype=np.int64)
-    remaining = np.full(c, cap, dtype=np.int64)
-    for t in order:
-        for j in pref[t]:
-            if remaining[j] > 0:
+    d2 = sq_dists(x, centroids)
+    top = np.sort(d2, axis=1)
+    margin = top[:, 0] - top[:, 1] if c > 1 else np.zeros(n)
+    priority = sorted(range(n), key=lambda t: (margin[t], t))
+    assign = [None] * n
+    room = [cap] * c
+    while None in assign:
+        is_open = [r > 0 for r in room]
+        proposals = [[] for _ in range(c)]
+        for t in priority:
+            if assign[t] is None:
+                proposals[min((d2[t, j], j) for j in range(c) if is_open[j])[1]].append(t)
+        for j in range(c):
+            for t in proposals[j][:room[j]]:
                 assign[t] = j
-                remaining[j] -= 1
-                break
-    return assign
+            room[j] -= min(room[j], len(proposals[j]))
+    return np.array(assign, dtype=np.int64)
 
 
 def two_point_summary(qbar, k1, k2, v1, v2):

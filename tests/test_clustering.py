@@ -14,7 +14,7 @@ from muse.clustering import (
 )
 from muse.numerics import make_rng
 
-from oracles import naive_cap_assign
+from oracles import naive_cap_assign, sq_dists
 
 
 def blob_pair(seed, n_each=40, d=4, separation=20.0):
@@ -230,13 +230,10 @@ def test_cap_assign_property(seed):
     assert counts.max() <= cap and counts.sum() == n
 
 
-@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 60), c_frac=st.floats(0.0, 1.0),
-       distinct=st.sampled_from([1, 2, 5, None]), slack=st.sampled_from([1.0, 1.1, 1.5, 4.0]),
-       dtype=st.sampled_from([np.float32, np.float64]))
-@settings(max_examples=300, deadline=None)
-def test_cap_assign_equals_naive_oracle(seed, n, c_frac, distinct, slack, dtype):
-    # few distinct points make duplicate tokens and exact distance ties; centroids
-    # drawn from the tokens, as k-means seeds them, tie exactly with duplicates
+def capped_case(seed, n, c_frac, distinct, slack, dtype):
+    """Tokens, centroids and cap where caps bind often. Few distinct points make
+    duplicate tokens and exact distance ties; centroids drawn from the tokens,
+    as k-means seeds them, tie exactly with duplicates."""
     rng = np.random.default_rng(seed)
     c = 1 + int(c_frac * (min(n, 20) - 1))
     x = rng.normal(size=(n, 3))
@@ -246,8 +243,65 @@ def test_cap_assign_equals_naive_oracle(seed, n, c_frac, distinct, slack, dtype)
     centroids = x[rng.choice(n, size=c, replace=False)]
     if seed % 2:
         centroids = centroids + rng.normal(scale=0.1, size=centroids.shape).astype(dtype)
-    cap = int(np.ceil(slack * n / c))
+    return x, centroids, int(np.ceil(slack * n / c))
+
+
+CAPPED_CASES = dict(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 60), c_frac=st.floats(0.0, 1.0),
+                    distinct=st.sampled_from([1, 2, 5, None]),
+                    slack=st.sampled_from([1.0, 1.1, 1.5, 4.0]),
+                    dtype=st.sampled_from([np.float32, np.float64]))
+
+
+@given(**CAPPED_CASES)
+@settings(max_examples=300, deadline=None)
+def test_cap_assign_equals_naive_oracle(seed, n, c_frac, distinct, slack, dtype):
+    x, centroids, cap = capped_case(seed, n, c_frac, distinct, slack, dtype)
     assert np.array_equal(cap_assign(x, centroids, cap), naive_cap_assign(x, centroids, cap))
+
+
+@given(**CAPPED_CASES)
+@settings(max_examples=150, deadline=None)
+def test_cap_assign_keeps_the_most_tokens_at_their_nearest(seed, n, c_frac, distinct, slack, dtype):
+    # no capped assignment can leave more than min(count_j, cap) tokens at centroid j
+    # among those nearest to it, and the first round keeps exactly that many
+    x, centroids, cap = capped_case(seed, n, c_frac, distinct, slack, dtype)
+    nearest = np.argmin(sq_dists(x, centroids), axis=1)
+    got = cap_assign(x, centroids, cap)
+    kept = np.minimum(np.bincount(nearest, minlength=len(centroids)), cap).sum()
+    assert np.count_nonzero(got == nearest) == kept
+
+
+def degenerate_tokens(kind, n=1024, d=16):
+    if kind == "identical":
+        return np.ones((n, d), dtype=np.float32)
+    return np.random.default_rng(40).normal(size=(n, d)).astype(np.float32)
+
+
+# identical tokens tie every distance, so every round targets one centroid;
+# c close to n leaves about one slot per token
+DEGENERATE = [("identical", 1024), ("identical", 512), ("distinct", 1000), ("distinct", 1024)]
+
+
+@pytest.mark.parametrize("kind, c", DEGENERATE)
+def test_cap_assign_degenerate_inputs_valid(kind, c):
+    x = degenerate_tokens(kind)
+    n = len(x)
+    cap = -(-n // c)
+    centroids = x[np.random.default_rng(41).choice(n, size=c, replace=False)]
+    got = cap_assign(x, centroids, cap)
+    sizes = np.bincount(got, minlength=c)
+    assert got.shape == (n,) and sizes.size == c
+    assert sizes.max() <= cap and sizes.sum() == n
+
+
+@pytest.mark.parametrize("kind, c", DEGENERATE)
+def test_kmeans_degenerate_inputs_valid(kind, c):
+    x = degenerate_tokens(kind)
+    n = len(x)
+    cl = kmeans(x, c, 1, 1.0, make_rng(0))
+    sizes = np.bincount(cl.assignments, minlength=c)
+    assert cl.cap == -(-n // c) and np.array_equal(cl.sizes, sizes)
+    assert sizes.max() <= cl.cap and sizes.sum() == n and sizes.min() >= 1
 
 
 def test_decompose_reconstruction_within_one_ulp():

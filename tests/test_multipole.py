@@ -1,6 +1,10 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import muse.clustering
 from muse import ABLATIONS, MuseConfig, attend, cluster_tokens, muse_acausal, rel_sq_error
 from muse.attention import AttentionResult
 from muse.multipole import MuseClusters, aggregate_dipoles, final_stage, stage1
@@ -70,6 +74,25 @@ def test_stage1_empty_cluster_rejected():
     rng = np.random.default_rng(3)
     with pytest.raises(ValueError, match="empty key cluster"):
         stage1(rng.normal(size=(1, 3)), [np.zeros((0, 3))], [np.zeros((0, 3))])
+
+
+def test_stage1_peak_memory_holds_one_score_layout():
+    # c_q = c_k = 64, U_max = 24, d = 16, f32: stage 1 peaked at 1.135 MB before its
+    # scores moved to a (c_k, U, c_q) layout; a copy of the (64, 24, 64) probabilities
+    # for the kbar/vbar products, or keeping them alive past those products, raises
+    # the peak to about 1.50 MB
+    rng = np.random.default_rng(33)
+    sizes = np.concatenate([[24], rng.integers(8, 25, size=63)])
+    keys = [rng.normal(size=(u, 16)).astype(np.float32) for u in sizes]
+    values = [rng.normal(size=(u, 16)).astype(np.float32) for u in sizes]
+    qbar = (0.25 * rng.normal(size=(64, 16))).astype(np.float32)
+    tracemalloc.start()
+    try:
+        stage1(qbar, keys, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * 1.135e6, f"peak {peak / 1e6:.3f} MB"
 
 
 def test_aggregate_dipoles_is_softmax_mixture():
@@ -278,6 +301,26 @@ def test_muse_threads_bit_identical():
     assert np.array_equal(a.y, b.y) and np.array_equal(a.mu, b.mu)
 
 
+def test_muse_threads_bit_identical_with_binding_caps(monkeypatch):
+    # cap_ratio 1 leaves no slack, so each k-means call spills tokens in capped rounds
+    binding = []
+    cap_assign = muse.clustering.cap_assign
+
+    def recording_cap_assign(x, centroids, cap):
+        nearest = np.bincount(np.argmin(((x[:, None] - centroids) ** 2).sum(-1), axis=1),
+                              minlength=len(centroids))
+        binding.append(bool(nearest.max() > cap))
+        return cap_assign(x, centroids, cap)
+
+    monkeypatch.setattr(muse.clustering, "cap_assign", recording_cap_assign)
+    q, k, v = make_qkv(32, b=2, h=3, n=256, d=8, dtype=np.float32)
+    cfg = MuseConfig(c_q=16, c_k=16, cap_ratio=1.0, seed=6)
+    a = muse_acausal(q, k, v, cfg, threads=1)
+    b = muse_acausal(q, k, v, cfg, threads=4)
+    assert len(binding) == 2 * 2 * 2 * 3 and all(binding)
+    assert np.array_equal(a.y, b.y) and np.array_equal(a.mu, b.mu)
+
+
 def test_muse_deterministic_per_seed():
     q, k, v = make_qkv(25, n=40, d=4)
     cfg = MuseConfig(c_q=5, c_k=5, seed=9)
@@ -336,6 +379,12 @@ def test_config_validation():
         MuseConfig(ablation="nope")
     assert MuseConfig().resolve_scale(16) == pytest.approx(0.25)
     assert MuseConfig(scale=0.5).resolve_scale(16) == 0.5
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_config_rejects_non_positive_or_non_finite_scale(scale):
+    with pytest.raises(ValueError, match="scale must be positive and finite"):
+        MuseConfig(scale=scale)
 
 
 def test_rel_sq_error_definition_and_errors():
