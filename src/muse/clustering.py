@@ -232,8 +232,8 @@ def kmeans(
         raise ValueError("more clusters than points")
     if c < 1 or iters < 1:
         raise ValueError("need c >= 1 and iters >= 1")
-    if cap_ratio < 1.0:
-        raise ValueError("cap_ratio must be >= 1")
+    if not 1.0 <= cap_ratio < math.inf:
+        raise ValueError("cap_ratio must be finite and >= 1")
     if init is None:
         init = init_centroids(x, c, rng)
     fallback = init.uniform_fallback

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .attention import AttentionResult, attend, attend_causal, merge_partials
-from .causal import build_plan, muse_causal
+from .causal import muse_causal
 from .multipole import MuseConfig, cluster_tokens, muse_acausal, rel_sq_error
 from .numerics import derive_seed
 from .workloads import WorkloadSpec, generate
@@ -224,7 +224,8 @@ def causal_bench(spec: WorkloadSpec, config: MuseConfig, block: int,
     report = ExperimentReport(kind="causal_bench", config={
         "workload": asdict(spec), "muse": asdict(config), "block": block, "seeds": seeds,
     })
-    plan = build_plan(spec.n, block)
+    if seeds < 1:
+        raise ValueError("seeds must be >= 1")
     for rep, wl, (q, k, v) in _per_seed_workloads(spec, seeds):
         scale = config.resolve_scale(wl.d)
         t0 = time.perf_counter()
@@ -246,10 +247,11 @@ def causal_bench(spec: WorkloadSpec, config: MuseConfig, block: int,
             wall_time_ms=muse_ms,
             tokens_processed=wl.batch * wl.heads * (stats.muse_rows + stats.exact_rows),
         ))
+    # the plan as run: levels too short to cluster are part of the exact near field
     report.metadata = {
-        "levels": len(plan.levels),
-        "muse_query_rows": plan.muse_query_rows,
-        "path": "exact path (no MuSe blocks)" if plan.muse_query_rows == 0 else "hierarchical",
+        "levels": stats.levels,
+        "muse_query_rows": stats.muse_rows,
+        "path": "exact path (no MuSe blocks)" if stats.muse_rows == 0 else "hierarchical",
     }
     errs = [r.rel_sq_error for r in report.rows if r.label == "muse_causal"]
     report.aggregates = {"muse_causal": _mean_std(errs)}

@@ -49,8 +49,8 @@ class MuseConfig:
             raise ValueError("cluster counts must be >= 1")
         if self.kmeans_iters < 1:
             raise ValueError("kmeans_iters must be >= 1")
-        if self.cap_ratio < 1.0:
-            raise ValueError("cap_ratio must be >= 1")
+        if not 1.0 <= self.cap_ratio < math.inf:
+            raise ValueError("cap_ratio must be finite and >= 1")
         if self.scale is not None and not 0 < self.scale < math.inf:
             raise ValueError("scale must be positive and finite")
         if self.ablation not in ABLATIONS:

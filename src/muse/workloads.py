@@ -9,6 +9,7 @@ in instead.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -40,8 +41,10 @@ class WorkloadSpec:
         if min(self.batch, self.heads, self.n, self.d) < 1:
             raise ValueError("batch/heads/n/d must be positive")
         if self.kind == "gaussian_mixture":
-            if self.spread <= 0:
-                raise ValueError("spread must be positive")
+            if not 0 < self.spread < math.inf:
+                raise ValueError("spread must be positive and finite")
+            if not math.isfinite(self.centroid_scale):
+                raise ValueError("centroid_scale must be finite")
             if self.c_true > self.n:
                 raise ValueError("c_true cannot exceed n")
         if self.kind == "file" and not self.path:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -89,19 +91,45 @@ def test_n_equals_b_is_exact_causal():
     out, stats = muse_causal(q, k, v, cfg, b=64, return_stats=True)
     ref = attend_causal(q, k, v)
     assert np.array_equal(out.y, ref.y) and np.array_equal(out.mu, ref.mu)
-    assert stats.muse_rows == 0 and stats.exact_rows == 64 and stats.fallback_rows == 0
+    assert stats.muse_rows == 0 and stats.exact_rows == 64
 
 
-def test_fallback_when_span_below_cluster_counts():
+def test_near_field_absorbs_spans_below_cluster_counts():
+    # C = 32 > b = 8: spans 8 and 16 join the diagonal, so the near field is
+    # exact causal attention within aligned blocks of 32 rows
     q, k, v = make_qkv(3, n=256, d=6)
     cfg = MuseConfig(c_q=32, c_k=32, kmeans_iters=1, seed=0)
     out, stats = muse_causal(q, k, v, cfg, b=8, return_stats=True)
+    first = attend_causal(q[:, :, :32], k[:, :, :32], v[:, :, :32])
+    assert np.array_equal(out.y[:, :, :32], first.y) and np.array_equal(out.mu[:, :, :32], first.mu)
     plan = build_plan(256, 8)
-    short = sum((q1 - q0) for _, span, (q0, q1), _ in plan.below_blocks() if span < 32)
-    assert stats.fallback_rows == short and short > 0
-    assert stats.muse_rows == plan.muse_query_rows - short
+    clustered = sum(q1 - q0 for _, span, (q0, q1), _ in plan.below_blocks() if span >= 32)
+    assert stats.muse_rows == clustered == 128 * 3 and stats.levels == 3
+    assert stats.exact_rows == 256
+    assert rel_sq_error(attend_causal(q, k, v), out) < 0.2
+    # no span reaches C: the near field is capped at n and the call is exact causal attention
+    out, stats = muse_causal(q, k, v, MuseConfig(c_q=256, c_k=256, seed=0), b=8, return_stats=True)
     ref = attend_causal(q, k, v)
-    assert rel_sq_error(ref, out) < 0.2
+    assert np.array_equal(out.y, ref.y) and np.array_equal(out.mu, ref.mu)
+    assert stats.muse_rows == 0 and stats.levels == 0
+    with pytest.raises(ValueError, match=r"powers of two, got n=256, b=24"):
+        muse_causal(q, k, v, cfg, b=24)
+
+
+def test_causal_peak_memory_holds_one_running_result():
+    # one part is an (n, d) f32 output plus its (n,) logsumexp, about 0.56 MB;
+    # holding one part per plan level for a final merge peaks near 11 parts
+    n, d = 8192, 16
+    q, k, v = make_qkv(9, n=n, d=d, dtype=np.float32)
+    cfg = MuseConfig(c_q=16, c_k=16, seed=0)
+    tracemalloc.start()
+    try:
+        muse_causal(q, k, v, cfg, b=256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    part = n * (d + 1) * 4
+    assert peak < 8 * part, f"peak {peak / 1e6:.2f} MB = {peak / part:.1f} parts"
 
 
 def test_matches_naive_causal_oracle_with_exact_blocks():

@@ -136,6 +136,22 @@ def test_invalid_values_exit_nonzero(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("bench", "--cap-ratio", "inf"),
+    ("bench", "--cap-ratio", "nan"),
+    ("error-sweep", "--cap-ratio", "1.5,inf", "--seeds", "1"),
+    ("gen-qkv", "--workload", "mixture", "--spread", "nan"),
+    ("gen-qkv", "--workload", "mixture", "--spread", "inf"),
+])
+def test_non_finite_values_exit_2(capsys, tmp_path, argv):
+    if argv[0] == "gen-qkv":
+        argv += ("--out", str(tmp_path / "w.museqkv"))
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "must be" in err and "finite" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_unknown_flag_exits_nonzero():
     with pytest.raises(SystemExit) as exc:
         main(["error-sweep", "--bogus", "1"])

@@ -174,8 +174,9 @@ def test_kmeans_validation():
         kmeans(x, 6, 1, 1.5, make_rng(0))
     with pytest.raises(ValueError):
         kmeans(x, 2, 0, 1.5, make_rng(0))
-    with pytest.raises(ValueError):
-        kmeans(x, 2, 1, 0.5, make_rng(0))
+    for cap_ratio in (0.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="cap_ratio must be finite and >= 1"):
+            kmeans(x, 2, 1, cap_ratio, make_rng(0))
 
 
 def test_cap_assign_slack_identical_to_nearest():

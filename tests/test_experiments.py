@@ -103,6 +103,11 @@ def test_causal_bench_hierarchical_and_degenerate():
     assert flat.metadata["muse_query_rows"] == 0
     muse_row = next(r for r in flat.rows if r.label == "muse_causal")
     assert muse_row.rel_sq_error <= 1e-24, "degenerate plan is exact"
+    # C = 128 > b = 8: spans 8-64 run in the exact near field, only span 128 is clustered
+    near = causal_bench(spec, MuseConfig(c_q=128, c_k=128, seed=0), block=8)
+    assert near.metadata == {"levels": 1, "muse_query_rows": 128, "path": "hierarchical"}
+    with pytest.raises(ValueError, match="seeds must be >= 1"):
+        causal_bench(spec, cfg, block=32, seeds=0)
 
 
 def test_fd_sensitivity_validation():

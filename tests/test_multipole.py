@@ -371,8 +371,9 @@ def test_muse_rejects_short_sequences():
 def test_config_validation():
     with pytest.raises(ValueError):
         MuseConfig(c_q=0)
-    with pytest.raises(ValueError):
-        MuseConfig(cap_ratio=0.9)
+    for cap_ratio in (0.9, math.nan, math.inf):
+        with pytest.raises(ValueError, match="cap_ratio must be finite and >= 1"):
+            MuseConfig(cap_ratio=cap_ratio)
     with pytest.raises(ValueError):
         MuseConfig(kmeans_iters=0)
     with pytest.raises(ValueError):

@@ -11,8 +11,12 @@ def test_spec_validation():
         WorkloadSpec(kind="cauchy")
     with pytest.raises(ValueError, match="positive"):
         WorkloadSpec(n=0)
-    with pytest.raises(ValueError, match="spread"):
-        WorkloadSpec(kind="gaussian_mixture", spread=0.0)
+    for spread in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="spread must be positive and finite"):
+            WorkloadSpec(kind="gaussian_mixture", spread=spread)
+    for scale in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="centroid_scale must be finite"):
+            WorkloadSpec(kind="gaussian_mixture", centroid_scale=scale)
     with pytest.raises(ValueError, match="c_true"):
         WorkloadSpec(kind="gaussian_mixture", n=8, c_true=16)
     with pytest.raises(ValueError, match="path"):
