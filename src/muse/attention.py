@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import check_tensor4, softmax_logsumexp_inplace, stable_logsumexp
+from .numerics import check_tensor4, shifted_exp_inplace, stable_logsumexp
 # perfbench/tracing.py wraps muse.attention.stable_softmax, so the name stays importable here
 from .numerics import stable_softmax  # noqa: F401
 
@@ -68,12 +68,18 @@ def _map_slices(fn, n_slices: int, threads: int):
 def _attend(q, k, v, bias, scale, threads, window=None) -> AttentionResult:
     """The one exact kernel behind `attend`, `attend_causal` and `attend_sliding`.
 
-    Per (batch, head) slice it walks query rows in tiles of TILE. A tile
-    computes scores only over the keys its rows can see (all keys, or
+    Per (batch, head) slice it copies the values once into an (n_k, d + 1)
+    array whose last column is ones, then walks query rows in tiles of TILE.
+    A tile computes scores only over the keys its rows can see (all keys, or
     [lo - window + 1, up) when windowed), adds the bias in place, writes -inf
-    where key j is outside row i's window (i - window < j <= i), and takes
-    softmax and logsumexp from one in-place exp. Rows are independent, so
-    the tiling does not change any row's result beyond matmul reassociation.
+    where key j is outside row i's window (i - window < j <= i), and replaces
+    the scores by exp(s - max) in place. One product with the extended values
+    then gives the unnormalised output and, in its last column, the row sums
+    of the exps (>= 1, since the max contributes exp(0)), so y = out[:, :d] /
+    out[:, d] and mu = max + log(out[:, d]): the score tile is touched five
+    times (product, max, subtract, exp, product), and normalising costs d
+    divisions per row, not n_k. Rows are independent, so the tiling does not
+    change any row's result beyond matmul reassociation.
     """
     if scale is None:
         scale = 1.0 / math.sqrt(q.shape[3])
@@ -89,7 +95,9 @@ def _attend(q, k, v, bias, scale, threads, window=None) -> AttentionResult:
     def run(i):
         bi, hi = divmod(i, h)
         qs = q[bi, hi] * np.asarray(scale, dtype=q.dtype)
-        ks, vs = k[bi, hi], v[bi, hi]
+        ks = k[bi, hi]
+        v1 = np.ones((n_k, d + 1), dtype=q.dtype)
+        v1[:, :d] = v[bi, hi]
         bs = None if bias is None else bias[bi, hi].astype(q.dtype)
         for lo in range(0, n_q, TILE):
             up = min(lo + TILE, n_q)
@@ -104,8 +112,11 @@ def _attend(q, k, v, bias, scale, threads, window=None) -> AttentionResult:
                 rows = np.arange(lo, up)[:, None]
                 cols = np.arange(c0, k1)
                 np.copyto(s[:, c0 - k0:], -np.inf, where=(cols > rows) | (cols <= rows - window))
-            p, mu[bi, hi, lo:up] = softmax_logsumexp_inplace(s)
-            y[bi, hi, lo:up] = p @ vs[k0:k1]
+            top = shifted_exp_inplace(s)
+            out = s @ v1[k0:k1]
+            np.divide(out[:, :d], out[:, d:], out=y[bi, hi, lo:up])
+            np.log(out[:, d], out=mu[bi, hi, lo:up])
+            mu[bi, hi, lo:up] += top[:, 0]
 
     _map_slices(run, b * h, threads)
     return AttentionResult(y=y, mu=mu)

@@ -98,6 +98,8 @@ def _mean_std(values) -> dict:
 
 
 def _per_seed_workloads(spec: WorkloadSpec, seeds: int):
+    if seeds < 1:
+        raise ValueError("seeds must be >= 1")
     for rep in range(seeds):
         wl = replace(spec, seed=derive_seed(spec.seed, rep))
         yield rep, wl, generate(wl)
@@ -176,6 +178,10 @@ def scaling_bench(spec: WorkloadSpec, n_list: list[int], token_budget: int,
     """Time exact attention and the clustered approximation at each n, with
     batch = budget / (heads * n) so total tokens stay fixed. Records the
     median of `reps` repetitions per row."""
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
+    if any(n < 1 for n in n_list):
+        raise ValueError(f"every n must be >= 1, got {list(n_list)}")
     config = config or MuseConfig()
     report = ExperimentReport(kind="scaling_bench", config={
         "workload": asdict(spec), "budget": token_budget, "n_list": list(n_list),
@@ -224,8 +230,6 @@ def causal_bench(spec: WorkloadSpec, config: MuseConfig, block: int,
     report = ExperimentReport(kind="causal_bench", config={
         "workload": asdict(spec), "muse": asdict(config), "block": block, "seeds": seeds,
     })
-    if seeds < 1:
-        raise ValueError("seeds must be >= 1")
     for rep, wl, (q, k, v) in _per_seed_workloads(spec, seeds):
         scale = config.resolve_scale(wl.d)
         t0 = time.perf_counter()

@@ -99,14 +99,14 @@ def stable_softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
     return ex / np.sum(ex, axis=axis, keepdims=True)
 
 
-def softmax_logsumexp_inplace(scores: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
-    """Softmax and logsumexp along `axis` from a single exp, computed in place.
+def shifted_exp_inplace(scores: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Overwrite `scores` with exp(scores - max) along `axis`; return the max.
 
-    `scores` (a writable float array) is overwritten with the softmax and
-    returned together with the logsumexp, which has `axis` removed; both equal
-    what `stable_softmax` and `stable_logsumexp` return. Raises as
-    `stable_softmax` does: on an empty reduction, NaN input, a +inf score,
-    or a fully masked (all -inf) slice.
+    The max keeps `axis` (keepdims), so it broadcasts back against `scores`.
+    Every slice of the result holds at least one exp(0) = 1, so any sum over
+    `axis` is >= 1. -inf entries map to exactly 0. Raises on an empty
+    reduction, NaN input, a +inf score (overflow), or a fully masked (all
+    -inf) slice.
     """
     if scores.shape == () or scores.shape[axis] == 0:
         raise ValueError("empty reduction")
@@ -118,6 +118,18 @@ def softmax_logsumexp_inplace(scores: np.ndarray, axis: int = -1) -> tuple[np.nd
         raise ValueError("fully masked row")
     np.subtract(scores, hi, out=scores)
     np.exp(scores, out=scores)
+    return hi
+
+
+def softmax_logsumexp_inplace(scores: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax and logsumexp along `axis` from a single exp, computed in place.
+
+    `scores` (a writable float array) is overwritten with the softmax and
+    returned together with the logsumexp, which has `axis` removed; both equal
+    what `stable_softmax` and `stable_logsumexp` return. Raises as
+    `shifted_exp_inplace` does.
+    """
+    hi = shifted_exp_inplace(scores, axis)
     total = np.sum(scores, axis=axis, keepdims=True)
     scores /= total
     lse = np.log(total)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from muse import attend, attend_causal, attend_sliding, merge_partials
+from muse import WorkloadSpec, attend, attend_causal, attend_sliding, generate, merge_partials
 from muse.attention import TILE, AttentionResult
 
 from oracles import naive_attend, naive_attend_causal, naive_attend_slice, naive_attend_sliding, naive_merge
@@ -79,6 +79,34 @@ def test_attend_fully_masked_row_raises():
     bias = np.full((1, 1, 4), -np.inf)
     with pytest.raises(ValueError, match="fully masked"):
         attend(q, k, v, bias=bias)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_attend_rejects_nan_scores_and_no_keys():
+    # f32 scores of 1e20 * 1e20 * 16 overflow to +inf, and a -inf bias on one
+    # of them makes inf + -inf = NaN; overflow and fully masked rows have their own tests
+    q = np.full((1, 1, 3, 16), 1e20, dtype=np.float32)
+    with pytest.raises(ValueError, match="NaN"):
+        attend(q, q, q, bias=np.array([[[-np.inf, 0.0, 0.0]]]))
+    with pytest.raises(ValueError, match="need at least one key"):
+        attend(q, q[:, :, :0], q[:, :, :0])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("j", [0, TILE + 1])
+def test_one_unmasked_key_returns_its_value_bitwise(dtype, j):
+    # the masked keys add exp(-inf) = 0 to the ones column, so the normaliser
+    # is exactly 1; integer q and k make the score exact in both dtypes
+    rng = np.random.default_rng(31)
+    n = TILE + 5
+    q = rng.integers(-3, 4, size=(1, 1, n, 4)).astype(dtype)
+    k = rng.integers(-3, 4, size=(1, 1, n, 4)).astype(dtype)
+    v = rng.normal(size=(1, 1, n, 4)).astype(dtype)
+    bias = np.full((1, 1, n), -np.inf)
+    bias[..., j] = 0.5
+    out = attend(q, k, v, bias=bias, scale=1.0)
+    assert np.array_equal(out.y[0, 0], np.broadcast_to(v[0, 0, j], (n, 4)))
+    assert np.array_equal(out.mu[0, 0], q[0, 0] @ k[0, 0, j] + dtype(0.5))
 
 
 def test_attend_shape_validation():
@@ -369,6 +397,37 @@ def test_threads_bit_identical_across_tiles(entry):
     a = ENTRY_POINTS[entry](q, k, v, threads=1)
     b = ENTRY_POINTS[entry](q, k, v, threads=4)
     assert np.array_equal(a.y, b.y) and np.array_equal(a.mu, b.mu)
+
+
+def chunked_reference(q, k, v, causal, chunk=512):
+    """Float64 attention on query-row chunks, normalised by numpy sums: (y, mu)."""
+    q, k, v = (a[0, 0].astype(np.float64) for a in (q, k, v))
+    n, d = q.shape
+    y, mu = np.empty((n, d)), np.empty(n)
+    for lo in range(0, n, chunk):
+        up = min(lo + chunk, n)
+        stop = up if causal else n
+        s = q[lo:up] @ k[:stop].T / np.sqrt(d)
+        if causal:
+            s[np.arange(stop)[None, :] > np.arange(lo, up)[:, None]] = -np.inf
+        top = s.max(axis=1, keepdims=True)
+        e = np.exp(s - top)
+        total = e.sum(axis=1)
+        y[lo:up] = e @ v[:stop] / total[:, None]
+        mu[lo:up] = np.log(total) + top[:, 0]
+    return y, mu
+
+
+@pytest.mark.parametrize("entry", ["attend", "attend_causal"])
+def test_f32_matches_float64_at_benchmark_scale(entry):
+    # the normaliser is a BLAS sum over up to 4096 exps; the gate is the
+    # benchmark's: 64 f32 eps relative to 1 + |ref|, for y and mu
+    spec = WorkloadSpec(kind="gaussian_mixture", n=4096, d=16, c_true=64, spread=0.3,
+                        dtype="f32", seed=7)
+    q, k, v = generate(spec)
+    out = ENTRY_POINTS[entry](q, k, v)
+    want = chunked_reference(q, k, v, causal=entry == "attend_causal")
+    assert_rows_match(out, slice(None), want, np.float32)
 
 
 @pytest.mark.parametrize("entry", ["attend", "attend_causal"])

@@ -136,6 +136,19 @@ def test_invalid_values_exit_nonzero(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("bench", "--reps", "0"), "reps must be >= 1"),
+    (("bench", "--n-list", "0"), "n must be >= 1"),
+    (("error-sweep", "--seeds", "0"), "seeds must be >= 1"),
+    (("ablate", "--seeds", "0"), "seeds must be >= 1"),
+])
+def test_zero_counts_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and message in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("argv", [
     ("bench", "--cap-ratio", "inf"),
     ("bench", "--cap-ratio", "nan"),

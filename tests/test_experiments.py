@@ -59,6 +59,17 @@ def test_error_sweep_rejects_empty_grid():
         error_sweep(SMALL_MIX, [], seeds=1)
 
 
+@pytest.mark.parametrize("driver", [
+    lambda seeds: error_sweep(SMALL_MIX, [MuseConfig(c_q=16, c_k=16, seed=0)], seeds=seeds),
+    lambda seeds: ablation_run(SMALL_MIX, MuseConfig(c_q=16, c_k=16, seed=0), seeds=seeds),
+], ids=["error_sweep", "ablation_run"])
+@pytest.mark.parametrize("seeds", [0, -1])
+def test_drivers_reject_no_seeds(driver, seeds):
+    # an empty run would report nothing (or NaN aggregates and vacuous verdicts)
+    with pytest.raises(ValueError, match="seeds must be >= 1"):
+        driver(seeds)
+
+
 def test_ablation_run_structure():
     base = MuseConfig(c_q=16, c_k=16, kmeans_iters=2, seed=0)
     report = ablation_run(SMALL_MIX, base, seeds=3)
@@ -89,6 +100,16 @@ def test_scaling_bench_rejects_indivisible_budget():
     spec = WorkloadSpec(kind="isotropic_gaussian", heads=3, d=8, seed=0)
     with pytest.raises(ValueError, match="not divisible"):
         scaling_bench(spec, [64], token_budget=1000, config=MuseConfig(c_q=8, c_k=8))
+
+
+def test_scaling_bench_rejects_no_reps_and_empty_n():
+    spec = WorkloadSpec(kind="isotropic_gaussian", heads=1, d=8, seed=0)
+    cfg = MuseConfig(c_q=8, c_k=8)
+    with pytest.raises(ValueError, match="reps must be >= 1"):
+        scaling_bench(spec, [64], token_budget=1024, config=cfg, reps=0)
+    for bad in ([0], [64, 0], [-64]):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            scaling_bench(spec, bad, token_budget=1024, config=cfg)
 
 
 def test_causal_bench_hierarchical_and_degenerate():
