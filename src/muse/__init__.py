@@ -13,7 +13,7 @@ from .attention import (
     attend_sliding,
     merge_partials,
 )
-from .causal import CausalPlan, CausalRunStats, build_plan, muse_causal
+from .causal import CausalPlan, build_plan, muse_causal
 from .clustering import CentroidInit, Clustering, decompose, inertia, kmeans
 from .experiments import (
     ExperimentReport,
@@ -43,7 +43,6 @@ __all__ = [
     "AggregatedDipoles",
     "AttentionResult",
     "CausalPlan",
-    "CausalRunStats",
     "CentroidInit",
     "ClusterSummaries",
     "Clustering",

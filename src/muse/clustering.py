@@ -218,13 +218,15 @@ def kmeans(
     iters: int,
     cap_ratio: float,
     rng: np.random.Generator,
-    init: np.ndarray | None = None,
+    init: CentroidInit | None = None,
 ) -> Clustering:
     """`iters` uncapped Lloyd iterations, then one capped assignment pass and
     a final recentering. Nearest-centroid ties break toward the lowest id.
 
-    `init` overrides the squared-norm-proportional seeding with explicit
-    starting centroids (used by permutation-invariance checks).
+    `init` replaces the squared-norm-proportional seeding with a given
+    `CentroidInit`: its (c, d) centroids start the iterations and its
+    `uniform_fallback` flag becomes the result's `init_fallback` (tests use
+    it to share one seeding across calls).
     """
     x = np.asarray(x)
     n = x.shape[0]

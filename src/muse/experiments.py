@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .attention import AttentionResult, attend, attend_causal, merge_partials
-from .causal import muse_causal
+from .causal import build_plan, muse_causal
 from .multipole import MuseConfig, cluster_tokens, muse_acausal, rel_sq_error
 from .numerics import derive_seed
 from .workloads import WorkloadSpec, generate
@@ -231,31 +231,33 @@ def causal_bench(spec: WorkloadSpec, config: MuseConfig, block: int,
         "workload": asdict(spec), "muse": asdict(config), "block": block, "seeds": seeds,
     })
     for rep, wl, (q, k, v) in _per_seed_workloads(spec, seeds):
-        scale = config.resolve_scale(wl.d)
+        # shapes come from the tensors: a file workload sets its own n and d
+        bsz, h, n, d = q.shape
+        scale = config.resolve_scale(d)
         t0 = time.perf_counter()
         reference = attend_causal(q, k, v, scale=scale, threads=threads)
         exact_ms = (time.perf_counter() - t0) * 1e3
         cfg = replace(config, seed=derive_seed(config.seed, rep))
         t0 = time.perf_counter()
-        approx, stats = muse_causal(q, k, v, cfg, block, threads=threads, return_stats=True)
+        approx = muse_causal(q, k, v, cfg, block, threads=threads)
         muse_ms = (time.perf_counter() - t0) * 1e3
         err = rel_sq_error(reference, approx)
+        # the plan muse_causal ran: levels too short to cluster are part of the exact near field
+        plan = build_plan(n, block, max(config.c_q, config.c_k))
         report.rows.append(RunRecord(
             label="exact_causal", c=config.c_k, iters=config.kmeans_iters,
             cap_ratio=config.cap_ratio, seed=wl.seed, rel_sq_error=0.0,
-            wall_time_ms=exact_ms, tokens_processed=wl.batch * wl.heads * wl.n,
+            wall_time_ms=exact_ms, tokens_processed=bsz * h * n,
         ))
         report.rows.append(RunRecord(
             label="muse_causal", c=config.c_k, iters=config.kmeans_iters,
             cap_ratio=config.cap_ratio, seed=wl.seed, rel_sq_error=err,
-            wall_time_ms=muse_ms,
-            tokens_processed=wl.batch * wl.heads * (stats.muse_rows + stats.exact_rows),
+            wall_time_ms=muse_ms, tokens_processed=bsz * h * (plan.muse_query_rows + n),
         ))
-    # the plan as run: levels too short to cluster are part of the exact near field
     report.metadata = {
-        "levels": stats.levels,
-        "muse_query_rows": stats.muse_rows,
-        "path": "exact path (no MuSe blocks)" if stats.muse_rows == 0 else "hierarchical",
+        "levels": len(plan.levels),
+        "muse_query_rows": plan.muse_query_rows,
+        "path": "exact path (no MuSe blocks)" if plan.muse_query_rows == 0 else "hierarchical",
     }
     errs = [r.rel_sq_error for r in report.rows if r.label == "muse_causal"]
     report.aggregates = {"muse_causal": _mean_std(errs)}
@@ -337,9 +339,8 @@ def selftest(dtype: str = "f64", seed: int = 0, threads: int = 1) -> list[tuple[
                          seed=seed + 1, dtype=dtype)
     cq, ck, cv = generate(cspec)
     ref = attend_causal(cq, ck, cv, scale=1.0 / np.sqrt(cspec.d), threads=threads)
-    swap, _ = muse_causal(cq, ck, cv, MuseConfig(c_q=4, c_k=4, seed=seed), b=16,
-                          threads=threads, return_stats=True,
-                          block_fn=lambda a, b_, c_: attend(a, b_, c_, scale=1.0 / np.sqrt(cspec.d)))
+    swap = muse_causal(cq, ck, cv, MuseConfig(c_q=4, c_k=4, seed=seed), b=16, threads=threads,
+                       block_fn=lambda a, b_, c_: attend(a, b_, c_, scale=1.0 / np.sqrt(cspec.d)))
     err = rel_sq_error(ref, swap)
     results.append(("causal_structural_merge", err <= (1e-20 if dtype == "f64" else 1e-8),
                     f"rel_sq_error {err:.3e}"))

@@ -146,7 +146,7 @@ def final_stage(
     dipoles: AggregatedDipoles,
     ablation: str = "full",
     value_mean: np.ndarray | None = None,
-) -> tuple[list, list]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Refine each residual query against its cluster's summaries.
 
     Scores are S_j = qres . kbar[i, j] + mu[i, j] (the logsumexp bias applies
@@ -154,12 +154,13 @@ def final_stage(
     of the tilted value centroids plus the dipole correction qres . cov_q[i]^T
     contracted over the key index. Residuals are already in scaled units.
 
-    Returns ragged (y rows, mu rows) per query cluster. no_monopole needs the
-    global `value_mean` of the slice.
+    Returns the (y rows, mu rows) of all residuals in cluster order, as flat
+    (n, d) and (n,) arrays. no_monopole needs the global `value_mean` of the
+    slice.
     """
     if ablation not in ABLATIONS:
         raise ValueError(f"unknown ablation {ablation!r}")
-    rpad, mask, sizes = _padded(residual_clusters)
+    rpad, mask, _ = _padded(residual_clusters)
     s = np.matmul(rpad, summaries.kbar.transpose(0, 2, 1))
     s += summaries.mu[:, None, :]
     p, mu_rows = softmax_logsumexp_inplace(s)
@@ -171,8 +172,7 @@ def final_stage(
             raise ValueError("no_monopole requires the global value mean")
         cov_uniform = summaries.cov_vk.mean(axis=0)
         y = value_mean + rpad @ cov_uniform.T
-    sizes = sizes.tolist()
-    return [y[i, :u] for i, u in enumerate(sizes)], [mu_rows[i, :u] for i, u in enumerate(sizes)]
+    return y[mask], mu_rows[mask]
 
 
 @dataclass
@@ -273,9 +273,8 @@ def muse_acausal(q, k, v, config: MuseConfig, threads: int = 1,
         dipoles = aggregate_dipoles(summaries)
         residuals = qc.groups(decompose(qs, qc).residual)
         vmean = v[bi, hi].mean(axis=0) if config.ablation == "no_monopole" else None
-        y_rows, mu_rows = final_stage(residuals, summaries, dipoles, config.ablation, vmean)
-        y[bi, hi, qc.order] = np.concatenate(y_rows)
-        mu[bi, hi, qc.order] = np.concatenate(mu_rows)
+        y[bi, hi, qc.order], mu[bi, hi, qc.order] = final_stage(residuals, summaries, dipoles,
+                                                                config.ablation, vmean)
 
     _map_slices(run, b * h, threads)
     return AttentionResult(y=y, mu=mu)

@@ -81,22 +81,15 @@ def stable_logsumexp(scores: np.ndarray, axis: int = -1, keepdims: bool = False)
 
 
 def stable_softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Shifted softmax along `axis`. -inf entries map to exactly 0.
+    """Shifted softmax along `axis`, computed on a float copy of `scores`.
+    -inf entries map to exactly 0.
 
-    Raises on an empty reduction, on a +inf score and on any fully masked
-    (all -inf) slice.
+    Raises as `shifted_exp_inplace` does: on an empty reduction, NaN input,
+    a +inf score and any fully masked (all -inf) slice.
     """
     scores = np.asarray(scores)
-    if scores.shape == () or scores.shape[axis] == 0:
-        raise ValueError("empty reduction")
-    if np.isnan(scores).any():
-        raise ValueError("NaN in softmax input")
-    hi = np.max(scores, axis=axis, keepdims=True)
-    _check_overflow(hi)
-    if not np.isfinite(hi).all():
-        raise ValueError("fully masked row")
-    ex = np.exp(scores - hi)
-    return ex / np.sum(ex, axis=axis, keepdims=True)
+    p, _ = softmax_logsumexp_inplace(scores.astype(np.result_type(scores, np.float16)), axis)
+    return p
 
 
 def shifted_exp_inplace(scores: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -35,10 +35,16 @@ def test_build_plan_rejects_bad_sizes():
 
 @pytest.mark.parametrize("n,b", [(16, 4), (64, 8), (128, 16), (256, 32), (512, 64), (64, 64)])
 def test_plan_covers_every_causal_pair_exactly_once(n, b):
-    plan = build_plan(n, b)
-    counts = causal_pair_counts(n, plan_blocks(plan))
     lower = np.tril(np.ones((n, n), dtype=np.int64))
-    assert np.array_equal(counts, lower)
+    # min_span = 1 keeps every level; 3b and 4b move the near field past b
+    # (3b is not a power of two); n and 2n leave no level to cluster
+    for min_span in (1, 3 * b, 4 * b, n, 2 * n):
+        plan = build_plan(n, b, min_span)
+        counts = causal_pair_counts(n, plan_blocks(plan))
+        assert np.array_equal(counts, lower), min_span
+        assert all(span >= min_span for span, _ in plan.levels), min_span
+        assert plan.near == (n if not plan.levels else plan.levels[0][0]) and plan.b == b
+        assert plan.muse_query_rows == (n // 2) * len(plan.levels)
 
 
 @pytest.mark.parametrize("n,b", [(64, 8), (256, 16), (1024, 128)])
@@ -88,10 +94,11 @@ def test_block_fn_sees_strictly_lower_slices():
 def test_n_equals_b_is_exact_causal():
     q, k, v = make_qkv(2, n=64, d=6)
     cfg = MuseConfig(c_q=8, c_k=8, seed=0)
-    out, stats = muse_causal(q, k, v, cfg, b=64, return_stats=True)
+    out = muse_causal(q, k, v, cfg, b=64)
     ref = attend_causal(q, k, v)
     assert np.array_equal(out.y, ref.y) and np.array_equal(out.mu, ref.mu)
-    assert stats.muse_rows == 0 and stats.exact_rows == 64
+    plan = build_plan(64, 64, 8)
+    assert plan.muse_query_rows == 0 and plan.diagonal_blocks() == [(0, 64)]
 
 
 def test_near_field_absorbs_spans_below_cluster_counts():
@@ -99,19 +106,21 @@ def test_near_field_absorbs_spans_below_cluster_counts():
     # exact causal attention within aligned blocks of 32 rows
     q, k, v = make_qkv(3, n=256, d=6)
     cfg = MuseConfig(c_q=32, c_k=32, kmeans_iters=1, seed=0)
-    out, stats = muse_causal(q, k, v, cfg, b=8, return_stats=True)
+    out = muse_causal(q, k, v, cfg, b=8)
     first = attend_causal(q[:, :, :32], k[:, :, :32], v[:, :, :32])
     assert np.array_equal(out.y[:, :, :32], first.y) and np.array_equal(out.mu[:, :, :32], first.mu)
-    plan = build_plan(256, 8)
-    clustered = sum(q1 - q0 for _, span, (q0, q1), _ in plan.below_blocks() if span >= 32)
-    assert stats.muse_rows == clustered == 128 * 3 and stats.levels == 3
-    assert stats.exact_rows == 256
+    plan = build_plan(256, 8, 32)
+    full = build_plan(256, 8)
+    clustered = sum(q1 - q0 for _, span, (q0, q1), _ in full.below_blocks() if span >= 32)
+    assert plan.near == 32 and plan.b == 8 and len(plan.diagonal_blocks()) == 8
+    assert plan.muse_query_rows == clustered == 128 * 3 and len(plan.levels) == 3
     assert rel_sq_error(attend_causal(q, k, v), out) < 0.2
     # no span reaches C: the near field is capped at n and the call is exact causal attention
-    out, stats = muse_causal(q, k, v, MuseConfig(c_q=256, c_k=256, seed=0), b=8, return_stats=True)
+    out = muse_causal(q, k, v, MuseConfig(c_q=256, c_k=256, seed=0), b=8)
     ref = attend_causal(q, k, v)
     assert np.array_equal(out.y, ref.y) and np.array_equal(out.mu, ref.mu)
-    assert stats.muse_rows == 0 and stats.levels == 0
+    plan = build_plan(256, 8, 256)
+    assert plan.muse_query_rows == 0 and plan.levels == [] and plan.near == 256
     with pytest.raises(ValueError, match=r"powers of two, got n=256, b=24"):
         muse_causal(q, k, v, cfg, b=24)
 

@@ -13,6 +13,7 @@ from muse import (
     error_sweep,
     fd_sensitivity,
     generate,
+    save_qkv,
     scaling_bench,
     selftest,
 )
@@ -129,6 +130,20 @@ def test_causal_bench_hierarchical_and_degenerate():
     assert near.metadata == {"levels": 1, "muse_query_rows": 128, "path": "hierarchical"}
     with pytest.raises(ValueError, match="seeds must be >= 1"):
         causal_bench(spec, cfg, block=32, seeds=0)
+
+
+def test_causal_bench_reads_shapes_from_a_file_workload(tmp_path):
+    # the file's (1, 1, 64, 8) tensors, not the spec's n=256 and d=16, set the plan and the scale
+    path = tmp_path / "qkv.bin"
+    save_qkv(path, *generate(WorkloadSpec(kind="isotropic_gaussian", n=64, d=8, seed=0)))
+    spec = WorkloadSpec(kind="file", path=str(path), n=256, d=16)
+    cfg = MuseConfig(c_q=8, c_k=8, seed=0)
+    flat = causal_bench(spec, cfg, block=64)
+    assert flat.metadata["muse_query_rows"] == 0
+    assert next(r for r in flat.rows if r.label == "muse_causal").rel_sq_error <= 1e-24
+    hier = causal_bench(spec, cfg, block=16)
+    assert hier.metadata == {"levels": 2, "muse_query_rows": 64, "path": "hierarchical"}
+    assert [r.tokens_processed for r in hier.rows] == [64, 128]
 
 
 def test_fd_sensitivity_validation():

@@ -119,7 +119,7 @@ def test_final_stage_zero_residual_is_summary_merge():
     w = stable_softmax(summaries.mu[0], axis=-1)
     want = w @ summaries.vbar[0]
     for u in range(3):
-        np.testing.assert_allclose(y_rows[0][u], want, atol=1e-13)
+        np.testing.assert_allclose(y_rows[u], want, atol=1e-13)
 
 
 def test_final_stage_requires_value_mean_for_no_monopole():
