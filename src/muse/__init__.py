@@ -13,7 +13,7 @@ from .attention import (
     attend_sliding,
     merge_partials,
 )
-from .causal import CausalPlan, build_plan, muse_causal
+from .causal import CausalPlan, build_plan, causal_plan, muse_causal
 from .clustering import CentroidInit, Clustering, decompose, inertia, kmeans
 from .experiments import (
     ExperimentReport,
@@ -57,6 +57,7 @@ __all__ = [
     "attend_sliding",
     "build_plan",
     "causal_bench",
+    "causal_plan",
     "cluster_tokens",
     "decompose",
     "derive_seed",

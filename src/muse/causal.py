@@ -81,16 +81,21 @@ def build_plan(n: int, b: int, min_span: int = 1) -> CausalPlan:
     return CausalPlan(n=n, b=b, near=near, levels=levels)
 
 
-def muse_causal(q, k, v, config: MuseConfig, b: int, threads: int = 1, block_fn=None):
-    """Causal attention via the block plan.
+def causal_plan(n: int, b: int, config: MuseConfig) -> CausalPlan:
+    """The plan `muse_causal` runs: a level is clustered only when its span
+    holds at least as many rows as clusters, max(c_q, c_k); shorter levels
+    join the exact near field."""
+    return build_plan(n, b, max(config.c_q, config.c_k))
 
-    The plan is `build_plan(n, b, max(c_q, c_k))`: a level is clustered only
-    when its span holds at least as many rows as clusters, and the diagonal
-    blocks plus every shorter level run as one exact `attend_causal` call per
-    near-field block. Each far-field block clusters its own queries/keys from
-    scratch, runs the acausal approximation and is merged into the running
-    (y, mu) over its query rows, so one (batch, heads, n, d) output is all
-    that is held.
+
+def muse_causal(q, k, v, config: MuseConfig, b: int, threads: int = 1, block_fn=None):
+    """Causal attention via the block plan `causal_plan(n, b, config)`.
+
+    The diagonal blocks plus every level too short to cluster run as one
+    exact `attend_causal` call per near-field block. Each far-field block
+    clusters its own queries/keys from scratch, runs the acausal
+    approximation and is merged into the running (y, mu) over its query
+    rows, so one (batch, heads, n, d) output is all that is held.
 
     `block_fn(q, k, v) -> AttentionResult` overrides the far-field
     computation (the structural oracle swaps in exact attend).
@@ -101,7 +106,7 @@ def muse_causal(q, k, v, config: MuseConfig, b: int, threads: int = 1, block_fn=
     if q.shape != k.shape or k.shape != v.shape:
         raise ValueError("causal attention requires identical q/k/v shapes")
     bsz, h, n, d = q.shape
-    plan = build_plan(n, b, max(config.c_q, config.c_k))
+    plan = causal_plan(n, b, config)
     scale = config.resolve_scale(d)
 
     y = np.empty((bsz, h, n, d), dtype=q.dtype)

@@ -94,11 +94,14 @@ def _workload_from_args(args) -> WorkloadSpec:
                         seed=args.seed, path=args.path, dtype=args.dtype)
 
 
-def _grid_from_args(args) -> list[MuseConfig]:
-    return [MuseConfig(c_q=c, c_k=c, kmeans_iters=it, cap_ratio=cap,
-                       scale=args.scale, seed=args.seed)
-            for c, it, cap in itertools.product(
-                _flatten(args.clusters), _flatten(args.iters), _flatten(args.cap_ratio))]
+def _configs_from_args(args) -> list[MuseConfig]:
+    """One MuseConfig per point of the --clusters x --iters x --cap-ratio
+    grid; the single-value commands parse plain numbers, one point."""
+    axes = [_flatten(a) if isinstance(a, list) else [a]
+            for a in (args.clusters, args.iters, args.cap_ratio)]
+    return [MuseConfig(c_q=c, c_k=c, kmeans_iters=it, cap_ratio=cap, scale=args.scale,
+                       ablation=getattr(args, "ablation", "full"), seed=args.seed)
+            for c, it, cap in itertools.product(*axes)]
 
 
 def _emit(report, args) -> None:
@@ -119,16 +122,14 @@ def _cmd_selftest(args) -> int:
 
 
 def _cmd_error_sweep(args) -> int:
-    report = error_sweep(_workload_from_args(args), _grid_from_args(args),
+    report = error_sweep(_workload_from_args(args), _configs_from_args(args),
                          seeds=args.seeds, threads=args.threads)
     _emit(report, args)
     return 0
 
 
 def _cmd_ablate(args) -> int:
-    base = MuseConfig(c_q=args.clusters, c_k=args.clusters, kmeans_iters=args.iters,
-                      cap_ratio=args.cap_ratio, scale=args.scale,
-                      ablation=args.ablation, seed=args.seed)
+    [base] = _configs_from_args(args)
     report = ablation_run(_workload_from_args(args), base, seeds=args.seeds,
                           threads=args.threads)
     _emit(report, args)
@@ -136,18 +137,15 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    cfg = MuseConfig(c_q=args.clusters, c_k=args.clusters, kmeans_iters=args.iters,
-                     cap_ratio=args.cap_ratio, scale=args.scale, seed=args.seed)
-    spec = _workload_from_args(args)
-    report = scaling_bench(spec, args.n_list, args.budget, config=cfg,
+    [cfg] = _configs_from_args(args)
+    report = scaling_bench(_workload_from_args(args), args.n_list, args.budget, config=cfg,
                            reps=args.reps, threads=args.threads)
     _emit(report, args)
     return 0
 
 
 def _cmd_causal_bench(args) -> int:
-    cfg = MuseConfig(c_q=args.clusters, c_k=args.clusters, kmeans_iters=args.iters,
-                     cap_ratio=args.cap_ratio, scale=args.scale, seed=args.seed)
+    [cfg] = _configs_from_args(args)
     report = causal_bench(_workload_from_args(args), cfg, args.block,
                           seeds=args.seeds, threads=args.threads)
     _emit(report, args)

@@ -14,14 +14,15 @@ import csv
 import hashlib
 import io
 import json
+import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from .attention import AttentionResult, attend, attend_causal, merge_partials
-from .causal import build_plan, muse_causal
-from .multipole import MuseConfig, cluster_tokens, muse_acausal, rel_sq_error
+from .causal import causal_plan, muse_causal
+from .multipole import ABLATIONS, MuseConfig, cluster_tokens, muse_acausal, rel_sq_error
 from .numerics import derive_seed
 from .workloads import WorkloadSpec, generate
 
@@ -72,11 +73,10 @@ class ExperimentReport:
 
     def to_csv(self, include_timing: bool = True) -> str:
         buf = io.StringIO()
-        fields = ["label", "c", "iters", "cap_ratio", "seed", "rel_sq_error",
-                  "wall_time_ms", "tokens_processed"]
+        columns = [f.name for f in fields(RunRecord)]
         if not include_timing:
-            fields.remove("wall_time_ms")
-        writer = csv.DictWriter(buf, fieldnames=fields, extrasaction="ignore", lineterminator="\n")
+            columns.remove("wall_time_ms")
+        writer = csv.DictWriter(buf, fieldnames=columns, extrasaction="ignore", lineterminator="\n")
         writer.writeheader()
         for r in self.rows:
             writer.writerow(asdict(r))
@@ -105,36 +105,49 @@ def _per_seed_workloads(spec: WorkloadSpec, seeds: int):
         yield rep, wl, generate(wl)
 
 
+def _timed(fn):
+    t0 = time.perf_counter()
+    out = fn()
+    return out, (time.perf_counter() - t0) * 1e3
+
+
+def _record(label: str, cfg: MuseConfig, seed: int, err: float, ms: float, tokens: int) -> RunRecord:
+    return RunRecord(label=label, c=cfg.c_k, iters=cfg.kmeans_iters, cap_ratio=cfg.cap_ratio,
+                     seed=seed, rel_sq_error=err, wall_time_ms=ms, tokens_processed=tokens)
+
+
+def _acausal_runs(report, spec: WorkloadSpec, runs: list, seeds: int, threads: int) -> dict:
+    """Per seed workload, one exact reference, then one timed `muse_acausal`
+    row per (label, config) run. Scale and token count come from the tensors.
+    Returns the reference hash of each rep."""
+    ref_hashes = {}
+    for rep, wl, (q, k, v) in _per_seed_workloads(spec, seeds):
+        scales = {cfg.resolve_scale(q.shape[3]) for _, cfg in runs}
+        if len(scales) > 1:
+            raise ValueError(f"configs resolve to different scales {sorted(scales)} for one reference")
+        reference = attend(q, k, v, scale=scales.pop(), threads=threads)
+        ref_hashes[rep] = _result_hash(reference)
+        for label, cfg in runs:
+            run_cfg = replace(cfg, seed=derive_seed(cfg.seed, rep))
+            approx, ms = _timed(lambda: muse_acausal(q, k, v, run_cfg, threads=threads))
+            report.rows.append(_record(label, cfg, wl.seed, rel_sq_error(reference, approx), ms,
+                                       math.prod(q.shape[:3])))
+    return ref_hashes
+
+
 def error_sweep(spec: WorkloadSpec, grid: list[MuseConfig], seeds: int = 5,
                 threads: int = 1) -> ExperimentReport:
     """For each config x seed: one exact reference per workload, one
     approximate run per config, recording relative squared error and wall
-    time (clustering included)."""
+    time (clustering included). Every config must resolve to one scale."""
     if not grid:
         raise ValueError("empty config grid")
     report = ExperimentReport(kind="error_sweep", config={"workload": asdict(spec), "seeds": seeds})
-    ref_hashes = {}
-    for rep, wl, (q, k, v) in _per_seed_workloads(spec, seeds):
-        scale = grid[0].resolve_scale(wl.d)
-        reference = attend(q, k, v, scale=scale, threads=threads)
-        ref_hashes[rep] = _result_hash(reference)
-        for cfg in grid:
-            run_cfg = replace(cfg, seed=derive_seed(cfg.seed, rep))
-            t0 = time.perf_counter()
-            approx = muse_acausal(q, k, v, run_cfg, threads=threads)
-            dt_ms = (time.perf_counter() - t0) * 1e3
-            report.rows.append(RunRecord(
-                label=f"C={cfg.c_k}", c=cfg.c_k, iters=cfg.kmeans_iters,
-                cap_ratio=cfg.cap_ratio, seed=wl.seed,
-                rel_sq_error=rel_sq_error(reference, approx),
-                wall_time_ms=dt_ms, tokens_processed=wl.batch * wl.heads * wl.n,
-            ))
-    by_label = {}
+    ref_hashes = _acausal_runs(report, spec, [(f"C={c.c_k}", c) for c in grid], seeds, threads)
+    by_point = {}
     for r in report.rows:
-        by_label.setdefault((r.label, r.iters, r.cap_ratio), []).append(r.rel_sq_error)
-    report.aggregates = {
-        f"{lbl} iters={it} cap={cap}": _mean_std(v) for (lbl, it, cap), v in sorted(by_label.items())
-    }
+        by_point.setdefault(f"{r.label} iters={r.iters} cap={r.cap_ratio}", []).append(r.rel_sq_error)
+    report.aggregates = {point: _mean_std(v) for point, v in by_point.items()}
     report.metadata = {"reference_hashes": ref_hashes, "timing": "forward only"}
     return report.validate()
 
@@ -142,31 +155,14 @@ def error_sweep(spec: WorkloadSpec, grid: list[MuseConfig], seeds: int = 5,
 def ablation_run(spec: WorkloadSpec, base: MuseConfig, seeds: int = 5,
                  threads: int = 1) -> ExperimentReport:
     """Run all four ablation modes on identical data and report per-seed
-    errors plus pairwise ordering verdicts."""
-    from .multipole import ABLATIONS
-
+    errors plus pairwise ordering verdicts in `ABLATIONS` order."""
     report = ExperimentReport(kind="ablation", config={
         "workload": asdict(spec), "base": asdict(base), "seeds": seeds,
     })
-    per_mode = {m: [] for m in ABLATIONS}
-    for rep, wl, (q, k, v) in _per_seed_workloads(spec, seeds):
-        reference = attend(q, k, v, scale=base.resolve_scale(wl.d), threads=threads)
-        for mode in ABLATIONS:
-            cfg = replace(base, ablation=mode, seed=derive_seed(base.seed, rep))
-            t0 = time.perf_counter()
-            approx = muse_acausal(q, k, v, cfg, threads=threads)
-            dt_ms = (time.perf_counter() - t0) * 1e3
-            err = rel_sq_error(reference, approx)
-            per_mode[mode].append(err)
-            report.rows.append(RunRecord(
-                label=mode, c=base.c_k, iters=base.kmeans_iters, cap_ratio=base.cap_ratio,
-                seed=wl.seed, rel_sq_error=err, wall_time_ms=dt_ms,
-                tokens_processed=wl.batch * wl.heads * wl.n,
-            ))
-    order = ["full", "no_dipole", "single_query_cluster", "no_monopole"]
-    verdicts = {}
-    for a, b in zip(order, order[1:]):
-        verdicts[f"{a}<{b}"] = bool(all(x < y for x, y in zip(per_mode[a], per_mode[b])))
+    _acausal_runs(report, spec, [(m, replace(base, ablation=m)) for m in ABLATIONS], seeds, threads)
+    per_mode = {m: [r.rel_sq_error for r in report.rows if r.label == m] for m in ABLATIONS}
+    verdicts = {f"{a}<{b}": all(x < y for x, y in zip(per_mode[a], per_mode[b]))
+                for a, b in zip(ABLATIONS, ABLATIONS[1:])}
     report.aggregates = {m: _mean_std(v) for m, v in per_mode.items()}
     report.metadata = {"ordering_verdicts": verdicts}
     return report.validate()
@@ -177,7 +173,9 @@ def scaling_bench(spec: WorkloadSpec, n_list: list[int], token_budget: int,
                   threads: int = 1) -> ExperimentReport:
     """Time exact attention and the clustered approximation at each n, with
     batch = budget / (heads * n) so total tokens stay fixed. Records the
-    median of `reps` repetitions per row."""
+    median of `reps` repetitions per row. Synthetic workloads only."""
+    if spec.kind == "file":
+        raise ValueError("scaling_bench takes synthetic workloads only: n_list cannot resize a file")
     if reps < 1:
         raise ValueError("reps must be >= 1")
     if any(n < 1 for n in n_list):
@@ -194,26 +192,18 @@ def scaling_bench(spec: WorkloadSpec, n_list: list[int], token_budget: int,
         batch = token_budget // (spec.heads * n)
         wl = replace(spec, n=n, batch=batch, seed=derive_seed(spec.seed, n))
         q, k, v = generate(wl)
-        scale = config.resolve_scale(wl.d)
+        scale = config.resolve_scale(q.shape[3])
         times = {"exact": [], "muse": []}
-        err = None
         for _ in range(reps):
-            t0 = time.perf_counter()
-            reference = attend(q, k, v, scale=scale, threads=threads)
-            times["exact"].append((time.perf_counter() - t0) * 1e3)
-            t0 = time.perf_counter()
-            approx = muse_acausal(q, k, v, config, threads=threads)
-            times["muse"].append((time.perf_counter() - t0) * 1e3)
-        err = rel_sq_error(reference, approx)
+            reference, ms = _timed(lambda: attend(q, k, v, scale=scale, threads=threads))
+            times["exact"].append(ms)
+            approx, ms = _timed(lambda: muse_acausal(q, k, v, config, threads=threads))
+            times["muse"].append(ms)
+        errs = {"exact": 0.0, "muse": rel_sq_error(reference, approx)}
         for impl in ("exact", "muse"):
-            med = float(np.median(times[impl]))
-            medians[(impl, n)] = med
-            report.rows.append(RunRecord(
-                label=f"{impl} n={n}", c=config.c_k, iters=config.kmeans_iters,
-                cap_ratio=config.cap_ratio, seed=wl.seed,
-                rel_sq_error=err if impl == "muse" else 0.0,
-                wall_time_ms=med, tokens_processed=token_budget,
-            ))
+            medians[(impl, n)] = float(np.median(times[impl]))
+            report.rows.append(_record(f"{impl} n={n}", config, wl.seed, errs[impl],
+                                       medians[(impl, n)], token_budget))
     ratios = {}
     for impl in ("exact", "muse"):
         for n0, n1 in zip(n_list, n_list[1:]):
@@ -226,34 +216,21 @@ def scaling_bench(spec: WorkloadSpec, n_list: list[int], token_budget: int,
 def causal_bench(spec: WorkloadSpec, config: MuseConfig, block: int,
                  seeds: int = 1, threads: int = 1) -> ExperimentReport:
     """Compare hierarchical causal approximation against exact causal
-    attention: error, wall times, and the block plan summary."""
+    attention: error, wall times, and the summary of the plan `muse_causal`
+    ran. Shapes come from the tensors, so a file workload sets its own."""
     report = ExperimentReport(kind="causal_bench", config={
         "workload": asdict(spec), "muse": asdict(config), "block": block, "seeds": seeds,
     })
     for rep, wl, (q, k, v) in _per_seed_workloads(spec, seeds):
-        # shapes come from the tensors: a file workload sets its own n and d
         bsz, h, n, d = q.shape
         scale = config.resolve_scale(d)
-        t0 = time.perf_counter()
-        reference = attend_causal(q, k, v, scale=scale, threads=threads)
-        exact_ms = (time.perf_counter() - t0) * 1e3
+        reference, exact_ms = _timed(lambda: attend_causal(q, k, v, scale=scale, threads=threads))
         cfg = replace(config, seed=derive_seed(config.seed, rep))
-        t0 = time.perf_counter()
-        approx = muse_causal(q, k, v, cfg, block, threads=threads)
-        muse_ms = (time.perf_counter() - t0) * 1e3
-        err = rel_sq_error(reference, approx)
-        # the plan muse_causal ran: levels too short to cluster are part of the exact near field
-        plan = build_plan(n, block, max(config.c_q, config.c_k))
-        report.rows.append(RunRecord(
-            label="exact_causal", c=config.c_k, iters=config.kmeans_iters,
-            cap_ratio=config.cap_ratio, seed=wl.seed, rel_sq_error=0.0,
-            wall_time_ms=exact_ms, tokens_processed=bsz * h * n,
-        ))
-        report.rows.append(RunRecord(
-            label="muse_causal", c=config.c_k, iters=config.kmeans_iters,
-            cap_ratio=config.cap_ratio, seed=wl.seed, rel_sq_error=err,
-            wall_time_ms=muse_ms, tokens_processed=bsz * h * (plan.muse_query_rows + n),
-        ))
+        approx, muse_ms = _timed(lambda: muse_causal(q, k, v, cfg, block, threads=threads))
+        plan = causal_plan(n, block, config)
+        report.rows.append(_record("exact_causal", config, wl.seed, 0.0, exact_ms, bsz * h * n))
+        report.rows.append(_record("muse_causal", config, wl.seed, rel_sq_error(reference, approx),
+                                   muse_ms, bsz * h * (plan.muse_query_rows + n)))
     report.metadata = {
         "levels": len(plan.levels),
         "muse_query_rows": plan.muse_query_rows,

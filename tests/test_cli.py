@@ -105,6 +105,17 @@ def test_gen_qkv_then_file_workload_round_trip(capsys, tmp_path):
     assert doc["rows"][0]["rel_sq_error"] < 1.0
 
 
+def test_bench_rejects_a_file_workload(capsys, tmp_path):
+    qkv_path = tmp_path / "w.museqkv"
+    assert run_cli(capsys, "gen-qkv", "--n", "64", "--d", "8", "--out", str(qkv_path))[0] == 0
+    code, out, err = run_cli(capsys, "bench", "--workload", "file", "--path", str(qkv_path),
+                             "--n-list", "64", "128", "--budget", "256", "--d", "8",
+                             "--clusters", "8", "--reps", "1")
+    assert code == 2
+    assert err.startswith("error: ") and "synthetic workloads only" in err
+    assert out == ""
+
+
 def test_omit_timing_is_byte_reproducible(capsys):
     argv = ["error-sweep", "--workload", "mixture", "--n", "256", "--d", "8",
             "--c-true", "8", "--clusters", "8", "--seeds", "2", "--omit-timing"]

@@ -60,6 +60,17 @@ def test_error_sweep_rejects_empty_grid():
         error_sweep(SMALL_MIX, [], seeds=1)
 
 
+def test_error_sweep_rejects_grid_with_different_scales():
+    # every config is compared against one exact reference, computed at one scale
+    grid = [MuseConfig(c_q=64, c_k=64, scale=s, seed=0) for s in (0.1, 1.0)]
+    spec = WorkloadSpec(kind="isotropic_gaussian", n=64, d=8, seed=0)
+    with pytest.raises(ValueError, match="different scales"):
+        error_sweep(spec, grid, seeds=1)
+    same = [MuseConfig(c_q=64, c_k=64, scale=None, seed=0),
+            MuseConfig(c_q=64, c_k=64, scale=1 / np.sqrt(8), seed=0)]
+    assert all(r.rel_sq_error <= 1e-24 for r in error_sweep(spec, same, seeds=1).rows)
+
+
 @pytest.mark.parametrize("driver", [
     lambda seeds: error_sweep(SMALL_MIX, [MuseConfig(c_q=16, c_k=16, seed=0)], seeds=seeds),
     lambda seeds: ablation_run(SMALL_MIX, MuseConfig(c_q=16, c_k=16, seed=0), seeds=seeds),
@@ -103,6 +114,15 @@ def test_scaling_bench_rejects_indivisible_budget():
         scaling_bench(spec, [64], token_budget=1000, config=MuseConfig(c_q=8, c_k=8))
 
 
+def test_scaling_bench_rejects_a_file_workload(tmp_path):
+    # the n-list and the budget cannot resize a file's fixed shape
+    path = tmp_path / "qkv.bin"
+    save_qkv(path, *generate(WorkloadSpec(kind="isotropic_gaussian", n=64, d=8, seed=0)))
+    spec = WorkloadSpec(kind="file", path=str(path), heads=1, d=8)
+    with pytest.raises(ValueError, match="synthetic workloads only"):
+        scaling_bench(spec, [64, 128], token_budget=256, config=MuseConfig(c_q=8, c_k=8))
+
+
 def test_scaling_bench_rejects_no_reps_and_empty_n():
     spec = WorkloadSpec(kind="isotropic_gaussian", heads=1, d=8, seed=0)
     cfg = MuseConfig(c_q=8, c_k=8)
@@ -144,6 +164,22 @@ def test_causal_bench_reads_shapes_from_a_file_workload(tmp_path):
     hier = causal_bench(spec, cfg, block=16)
     assert hier.metadata == {"levels": 2, "muse_query_rows": 64, "path": "hierarchical"}
     assert [r.tokens_processed for r in hier.rows] == [64, 128]
+
+
+@pytest.mark.parametrize("driver, label", [
+    (lambda spec, cfg: error_sweep(spec, [cfg], seeds=1), "C=64"),
+    (lambda spec, cfg: ablation_run(spec, cfg, seeds=1), "full"),
+], ids=["error_sweep", "ablation_run"])
+def test_acausal_drivers_read_shapes_from_a_file_workload(tmp_path, driver, label):
+    # C = n is exact; the (1, 1, 64, 8) file, not the spec's n=256 and d=16,
+    # sets the reference scale and the token count
+    path = tmp_path / "qkv.bin"
+    save_qkv(path, *generate(WorkloadSpec(kind="isotropic_gaussian", n=64, d=8, seed=0)))
+    spec = WorkloadSpec(kind="file", path=str(path), n=256, d=16)
+    report = driver(spec, MuseConfig(c_q=64, c_k=64, seed=0))
+    row = next(r for r in report.rows if r.label == label)
+    assert row.rel_sq_error <= 1e-24
+    assert all(r.tokens_processed == 64 for r in report.rows)
 
 
 def test_fd_sensitivity_validation():
