@@ -37,16 +37,21 @@ class AttentionResult:
             raise ValueError(f"inconsistent result shapes y={self.y.shape} mu={self.mu.shape}")
 
 
-def _check_qkv(q, k, v, bias):
+def _check_qk(q, k):
     q = check_tensor4(q, "q")
     k = check_tensor4(k, "k")
-    v = check_tensor4(v, "v")
-    if k.shape != v.shape:
-        raise ValueError(f"k/v shape mismatch: {k.shape} vs {v.shape}")
     if q.shape[:2] != k.shape[:2] or q.shape[3] != k.shape[3]:
         raise ValueError(f"q/k shape mismatch: {q.shape} vs {k.shape}")
     if k.shape[2] < 1:
         raise ValueError("need at least one key")
+    return q, k
+
+
+def _check_qkv(q, k, v, bias):
+    q, k = _check_qk(q, k)
+    v = check_tensor4(v, "v")
+    if k.shape != v.shape:
+        raise ValueError(f"k/v shape mismatch: {k.shape} vs {v.shape}")
     if bias is not None:
         bias = np.asarray(bias)
         if bias.shape != k.shape[:3]:

@@ -16,11 +16,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .attention import AttentionResult, attend_causal, merge_partials
+from .attention import AttentionResult, _check_qkv, attend_causal, merge_partials
 # perfbench/tracing.py wraps muse.causal.attend, so the name stays importable here
 from .attention import attend  # noqa: F401
 from .multipole import MuseConfig, muse_acausal
-from .numerics import check_tensor4, derive_seed
+from .numerics import derive_seed
 
 
 def _is_pow2(x: int) -> bool:
@@ -100,10 +100,8 @@ def muse_causal(q, k, v, config: MuseConfig, b: int, threads: int = 1, block_fn=
     `block_fn(q, k, v) -> AttentionResult` overrides the far-field
     computation (the structural oracle swaps in exact attend).
     """
-    q = check_tensor4(q, "q")
-    k = check_tensor4(k, "k")
-    v = check_tensor4(v, "v")
-    if q.shape != k.shape or k.shape != v.shape:
+    q, k, v, _ = _check_qkv(q, k, v, None)
+    if q.shape != k.shape:
         raise ValueError("causal attention requires identical q/k/v shapes")
     bsz, h, n, d = q.shape
     plan = causal_plan(n, b, config)

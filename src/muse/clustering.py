@@ -12,7 +12,7 @@ with room left. Everything is deterministic given the generator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import pairwise
 
 import numpy as np
@@ -30,9 +30,9 @@ class Clustering:
     """Assignment of n tokens to c capped clusters, in a segment-sorted layout.
 
     `order` lists the token ids sorted by cluster, ascending within each
-    cluster; cluster j is order[offsets[j]:offsets[j + 1]] and holds at most
-    `cap` tokens. centroids[j] is the mean of the member vectors after the
-    final recentering pass.
+    cluster; cluster j is order[offsets[j]:offsets[j + 1]] and holds at least
+    one and at most `cap` tokens. centroids[j] is the mean of its member
+    vectors, in an array of its own (never one that k-means worked in).
     """
 
     assignments: np.ndarray  # (n,) int64
@@ -40,7 +40,6 @@ class Clustering:
     order: np.ndarray = field(repr=False)  # (n,) int64
     offsets: np.ndarray = field(repr=False)  # (c + 1,) int64
     cap: int
-    c: int
     init_fallback: bool = False
 
     @property
@@ -76,26 +75,23 @@ def _segments(rows: np.ndarray, offsets: np.ndarray) -> list:
     return [rows[a:b] for a, b in pairwise(offsets.tolist())]
 
 
-def _recenter(x, order, offsets, centroids):
-    """Move every non-empty cluster's centroid to its member mean, by segment
-    sums over x[order]; empty clusters keep theirs."""
-    sizes = np.diff(offsets)
-    full = sizes > 0
-    sums = np.add.reduceat(x[order], offsets[:-1][full], axis=0)
-    centroids[full] = sums / sizes[full, None].astype(sums.dtype)
+def _means(x, order, offsets):
+    """(c, d) member means of clusters that are all non-empty, by segment sums
+    over x[order]."""
+    sums = np.add.reduceat(x[order], offsets[:-1], axis=0)
+    return sums / np.diff(offsets)[:, None].astype(sums.dtype)
 
 
 def clustering_from_assignments(x: np.ndarray, assign: np.ndarray, c: int) -> Clustering:
-    """The clustering of x that fixed labels in [0, c) define, with member-mean
-    centroids; the same layout and reduction as the end of `kmeans`."""
+    """The clustering of x that labels in [0, c) define, with fresh member-mean
+    centroids and cap = the largest cluster; `kmeans` builds its result here too.
+    An empty cluster is rejected."""
     order, offsets = _layout(assign, c)
     sizes = np.diff(offsets)
     if sizes.min() == 0:
-        raise ValueError("frozen assignment leaves an empty cluster")
-    centroids = np.empty((c, x.shape[1]), dtype=x.dtype)
-    _recenter(x, order, offsets, centroids)
-    return Clustering(assignments=assign.astype(np.int64), centroids=centroids, order=order,
-                      offsets=offsets, cap=int(sizes.max()), c=c)
+        raise ValueError("assignment leaves an empty cluster")
+    return Clustering(assignments=assign.astype(np.int64), centroids=_means(x, order, offsets),
+                      order=order, offsets=offsets, cap=int(sizes.max()))
 
 
 def _sq_dists(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -130,24 +126,24 @@ def init_centroids(x: np.ndarray, c: int, rng: np.random.Generator) -> CentroidI
 
 
 def _repair_empties(x, centroids, assign, d2=None):
-    """Reseed each empty cluster to the worst-served point (greatest distance
-    to its currently assigned centroid), stealing that point. Repeats until no
-    cluster is empty; ties pick the lowest token index. d2, the distances to
-    the centroids as passed in, is computed here only if a cluster is empty."""
-    c = centroids.shape[0]
-    for _ in range(c):
-        counts = np.bincount(assign, minlength=c)
-        empties = np.flatnonzero(counts == 0)
-        if empties.size == 0:
-            return assign
-        if d2 is None:
-            d2 = _sq_dists(x, centroids)
-        own = d2[np.arange(len(assign)), assign].copy()
-        for j in empties:
-            i = int(np.argmax(own))
-            assign[i] = j
-            centroids[j] = x[i]
-            own[i] = -1.0  # each empty steals a different point
+    """`assign` if no cluster is empty, else a copy repaired in one pass: each
+    empty cluster, in id order, takes the worst-served token (greatest distance
+    to its assigned centroid, ties to the lowest id) of a cluster that keeps a
+    member, which c <= n guarantees. No centroid is written; d2, the distances
+    to them, is computed here only if a cluster is empty."""
+    counts = np.bincount(assign, minlength=centroids.shape[0])
+    empties = np.flatnonzero(counts == 0)
+    if not empties.size:
+        return assign
+    if d2 is None:
+        d2 = _sq_dists(x, centroids)
+    own = d2[np.arange(len(assign)), assign]
+    worst = iter(np.argsort(-own, kind="stable"))  # ties by id; a skipped token stays ineligible
+    assign = assign.copy()
+    for j in empties:
+        i = next(i for i in worst if counts[assign[i]] > 1)
+        counts[assign[i]] -= 1
+        assign[i] = j
     return assign
 
 
@@ -220,8 +216,10 @@ def kmeans(
     rng: np.random.Generator,
     init: CentroidInit | None = None,
 ) -> Clustering:
-    """`iters` uncapped Lloyd iterations, then one capped assignment pass and
-    a final recentering. Nearest-centroid ties break toward the lowest id.
+    """`iters` uncapped Lloyd iterations, then one capped assignment pass, each
+    followed by the empty-cluster repair. Nearest-centroid ties break toward
+    the lowest id. No returned cluster is empty, and the centroids are a fresh
+    array of member means.
 
     `init` replaces the squared-norm-proportional seeding with a given
     `CentroidInit`: its (c, d) centroids start the iterations and its
@@ -238,24 +236,19 @@ def kmeans(
         raise ValueError("cap_ratio must be finite and >= 1")
     if init is None:
         init = init_centroids(x, c, rng)
-    fallback = init.uniform_fallback
-    centroids = np.array(init.centroids, dtype=x.dtype, copy=True)
+    centroids = np.asarray(init.centroids, dtype=x.dtype)
     if centroids.shape != (c, x.shape[1]):
         raise ValueError("init centroids have wrong shape")
 
-    assign = np.zeros(n, dtype=np.int64)
     for _ in range(iters):
         d2 = _sq_dists(x, centroids)
-        assign = np.argmin(d2, axis=1).astype(np.int64)  # ties -> lowest id
-        assign = _repair_empties(x, centroids, assign, d2)
-        _recenter(x, *_layout(assign, c), centroids)
+        assign = _repair_empties(x, centroids, np.argmin(d2, axis=1), d2)  # ties -> lowest id
+        centroids = _means(x, *_layout(assign, c))
 
     cap = math.ceil(cap_ratio * n / c)
     assign = _repair_empties(x, centroids, cap_assign(x, centroids, cap))
-    order, offsets = _layout(assign, c)
-    _recenter(x, order, offsets, centroids)
-    return Clustering(assignments=assign, centroids=centroids, order=order, offsets=offsets,
-                      cap=cap, c=c, init_fallback=fallback)
+    clustering = clustering_from_assignments(x, assign, c)
+    return replace(clustering, cap=cap, init_fallback=init.uniform_fallback)
 
 
 def decompose(x: np.ndarray, clustering: Clustering) -> ResidualDecomposition:

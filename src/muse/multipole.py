@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import AttentionResult, _map_slices
+from .attention import AttentionResult, _check_qk, _check_qkv, _map_slices
 from .clustering import Clustering, clustering_from_assignments, decompose, kmeans
-from .numerics import check_tensor4, derive_seed, make_rng, softmax_logsumexp_inplace, stable_softmax
+from .numerics import derive_seed, make_rng, softmax_logsumexp_inplace, stable_softmax
 # perfbench/tracing.py wraps muse.multipole.stable_logsumexp, so the name stays importable here
 from .numerics import stable_logsumexp  # noqa: F401
 
@@ -58,6 +58,11 @@ class MuseConfig:
 
     def resolve_scale(self, d: int) -> float:
         return self.scale if self.scale is not None else 1.0 / math.sqrt(d)
+
+    @property
+    def query_clusters(self) -> int:
+        """The query-cluster count that runs: c_q, or 1 under single_query_cluster."""
+        return 1 if self.ablation == "single_query_cluster" else self.c_q
 
 
 @dataclass
@@ -184,11 +189,11 @@ class MuseClusters:
     k_assign: np.ndarray  # (batch, heads, n_k) int64
 
 
-def _check_clusters(clusters: MuseClusters, b: int, h: int, n_q: int, n_k: int, c_q: int, c_k: int):
+def _check_clusters(clusters: MuseClusters, b: int, h: int, n_q: int, n_k: int, config: MuseConfig):
     """Reject frozen assignments that do not label every token of every slice
     with a cluster id in range."""
-    for name, labels, n, c in (("q_assign", clusters.q_assign, n_q, c_q),
-                               ("k_assign", clusters.k_assign, n_k, c_k)):
+    for name, labels, n, c in (("q_assign", clusters.q_assign, n_q, config.query_clusters),
+                               ("k_assign", clusters.k_assign, n_k, config.c_k)):
         labels = np.asarray(labels)
         if labels.shape != (b, h, n):
             raise ValueError(f"clusters.{name} must have shape {(b, h, n)}, got {labels.shape}")
@@ -199,10 +204,11 @@ def _check_clusters(clusters: MuseClusters, b: int, h: int, n_q: int, n_k: int, 
                              f"got [{labels.min()}, {labels.max()}]")
 
 
-def _cluster_slice(qs, ks, config: MuseConfig, c_q: int, bi: int, hi: int,
+def _cluster_slice(qs, ks, config: MuseConfig, bi: int, hi: int,
                    clusters: MuseClusters | None = None) -> tuple[Clustering, Clustering]:
     """Query and key clusterings of one (batch, head) slice: capped k-means with
     per-slice seeds, or the frozen labels of `clusters` with fresh centroids."""
+    c_q = config.query_clusters
     if clusters is not None:
         return (clustering_from_assignments(qs, clusters.q_assign[bi, hi], c_q),
                 clustering_from_assignments(ks, clusters.k_assign[bi, hi], config.c_k))
@@ -215,18 +221,16 @@ def _cluster_slice(qs, ks, config: MuseConfig, c_q: int, bi: int, hi: int,
 def cluster_tokens(q, k, config: MuseConfig, threads: int = 1) -> MuseClusters:
     """Run the per-slice clusterings (scaled queries, raw keys) and return the
     assignments only, for reuse with perturbed inputs."""
-    q = check_tensor4(q, "q")
-    k = check_tensor4(k, "k")
+    q, k = _check_qk(q, k)
     b, h, n_q, d = q.shape
     scale = config.resolve_scale(d)
-    c_q = 1 if config.ablation == "single_query_cluster" else config.c_q
     qa = np.empty((b, h, n_q), dtype=np.int64)
     ka = np.empty((b, h, k.shape[2]), dtype=np.int64)
 
     def run(i):
         bi, hi = divmod(i, h)
         qs = q[bi, hi] * np.asarray(scale, dtype=q.dtype)
-        qc, kc = _cluster_slice(qs, k[bi, hi], config, c_q, bi, hi)
+        qc, kc = _cluster_slice(qs, k[bi, hi], config, bi, hi)
         qa[bi, hi] = qc.assignments
         ka[bi, hi] = kc.assignments
 
@@ -249,18 +253,13 @@ def muse_acausal(q, k, v, config: MuseConfig, threads: int = 1,
     which keeps the function smooth under small perturbations. Each label
     array must have shape (batch, heads, n) and ids in [0, c).
     """
-    q = check_tensor4(q, "q")
-    k = check_tensor4(k, "k")
-    v = check_tensor4(v, "v")
-    if k.shape != v.shape or q.shape[:2] != k.shape[:2] or q.shape[3] != k.shape[3]:
-        raise ValueError("q/k/v shapes are incompatible")
+    q, k, v, _ = _check_qkv(q, k, v, None)
     b, h, n_q, d = q.shape
     n_k = k.shape[2]
-    c_q = 1 if config.ablation == "single_query_cluster" else config.c_q
-    if c_q > n_q or config.c_k > n_k:
+    if config.query_clusters > n_q or config.c_k > n_k:
         raise ValueError("sequence shorter than cluster count")
     if clusters is not None:
-        _check_clusters(clusters, b, h, n_q, n_k, c_q, config.c_k)
+        _check_clusters(clusters, b, h, n_q, n_k, config)
     scale = config.resolve_scale(d)
     y = np.empty((b, h, n_q, d), dtype=q.dtype)
     mu = np.empty((b, h, n_q), dtype=q.dtype)
@@ -268,7 +267,7 @@ def muse_acausal(q, k, v, config: MuseConfig, threads: int = 1,
     def run(i):
         bi, hi = divmod(i, h)
         qs = q[bi, hi] * np.asarray(scale, dtype=q.dtype)
-        qc, kc = _cluster_slice(qs, k[bi, hi], config, c_q, bi, hi, clusters)
+        qc, kc = _cluster_slice(qs, k[bi, hi], config, bi, hi, clusters)
         summaries = stage1(qc.centroids, kc.groups(k[bi, hi]), kc.groups(v[bi, hi]))
         dipoles = aggregate_dipoles(summaries)
         residuals = qc.groups(decompose(qs, qc).residual)

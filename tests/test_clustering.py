@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from scipy import stats
 
 from muse.clustering import (
     CentroidInit,
+    _repair_empties,
     cap_assign,
     decompose,
     inertia,
@@ -280,7 +283,8 @@ def degenerate_tokens(kind, n=1024, d=16):
 
 # identical tokens tie every distance, so every round targets one centroid;
 # c close to n leaves about one slot per token
-DEGENERATE = [("identical", 1024), ("identical", 512), ("distinct", 1000), ("distinct", 1024)]
+DEGENERATE = [("identical", 1024), ("identical", 1023), ("identical", 512),
+              ("distinct", 1000), ("distinct", 1024)]
 
 
 @pytest.mark.parametrize("kind, c", DEGENERATE)
@@ -299,10 +303,22 @@ def test_cap_assign_degenerate_inputs_valid(kind, c):
 def test_kmeans_degenerate_inputs_valid(kind, c):
     x = degenerate_tokens(kind)
     n = len(x)
-    cl = kmeans(x, c, 1, 1.0, make_rng(0))
-    sizes = np.bincount(cl.assignments, minlength=c)
-    assert cl.cap == -(-n // c) and np.array_equal(cl.sizes, sizes)
-    assert sizes.max() <= cl.cap and sizes.sum() == n and sizes.min() >= 1
+    for cap_ratio in (1.0, 1.5):  # tight caps, and the default
+        cl = kmeans(x, c, 1, cap_ratio, make_rng(0))
+        sizes = np.bincount(cl.assignments, minlength=c)
+        assert cl.cap == math.ceil(cap_ratio * n / c) and np.array_equal(cl.sizes, sizes)
+        assert sizes.max() <= cl.cap and sizes.sum() == n and sizes.min() >= 1, cap_ratio
+
+
+def test_repair_empties_is_one_pass_that_writes_no_centroids():
+    # identical tokens tie every distance: the empties take the lowest ids whose cluster keeps a member
+    x, centroids, assign = np.ones((5, 2)), np.ones((4, 2)), np.array([0, 0, 0, 1, 1])
+    assert _repair_empties(x, centroids, assign).tolist() == [2, 3, 0, 1, 1]
+    assert assign.tolist() == [0, 0, 0, 1, 1] and np.array_equal(centroids, np.ones((4, 2)))
+    # token 2 is served worst, but it is its cluster's only member, so token 1 moves
+    x, centroids = np.array([[0.0], [0.1], [20.0]]), np.array([[0.0], [10.0], [50.0]])
+    assert _repair_empties(x, centroids, np.array([0, 0, 1])).tolist() == [0, 2, 1]
+    assert centroids.ravel().tolist() == [0.0, 10.0, 50.0]
 
 
 def test_decompose_reconstruction_within_one_ulp():

@@ -210,6 +210,16 @@ def test_exactness_singleton_key_clusters():
     assert rel_sq_error(full, approx) <= 1e-10
 
 
+def test_exactness_identical_keys_one_cluster_per_key():
+    # all keys coincide, so every distance ties: k-means must still leave no key cluster empty
+    rng = np.random.default_rng(14)
+    q = rng.normal(size=(1, 1, 32, 4))
+    k = np.tile(rng.normal(size=4), (1, 1, 32, 1))
+    v = rng.normal(size=(1, 1, 32, 4))
+    approx = muse_acausal(q, k, v, MuseConfig(c_q=4, c_k=32, seed=0))
+    assert rel_sq_error(attend(q, k, v), approx) <= 1e-20
+
+
 def test_mixture_error_small_at_matched_clusters():
     from muse import WorkloadSpec, generate
     from muse.numerics import derive_seed
@@ -360,6 +370,13 @@ def test_frozen_labels_wrong_shape_or_dtype_rejected():
     floats = MuseClusters(q_assign=clusters.q_assign, k_assign=clusters.k_assign.astype(float))
     with pytest.raises(ValueError, match="k_assign must hold integer labels"):
         muse_acausal(q, k, v, cfg, clusters=floats)
+
+
+@pytest.mark.parametrize("k_shape", [(1, 2, 32, 4), (1, 1, 32, 2)])
+def test_cluster_tokens_rejects_mismatched_heads_or_d(k_shape):
+    rng = np.random.default_rng(27)
+    with pytest.raises(ValueError, match="q/k shape mismatch"):
+        cluster_tokens(rng.normal(size=(1, 1, 32, 4)), rng.normal(size=k_shape), MuseConfig(c_q=4, c_k=4))
 
 
 def test_muse_rejects_short_sequences():
