@@ -27,7 +27,6 @@ from .experiments import (
 )
 from .multipole import (
     ABLATIONS,
-    AggregatedDipoles,
     ClusterSummaries,
     MuseClusters,
     MuseConfig,
@@ -40,7 +39,6 @@ from .workloads import WorkloadSpec, generate, generate_detailed, load_qkv, save
 
 __all__ = [
     "ABLATIONS",
-    "AggregatedDipoles",
     "AttentionResult",
     "CausalPlan",
     "CentroidInit",

@@ -83,9 +83,9 @@ def build_plan(n: int, b: int, min_span: int = 1) -> CausalPlan:
 
 def causal_plan(n: int, b: int, config: MuseConfig) -> CausalPlan:
     """The plan `muse_causal` runs: a level is clustered only when its span
-    holds at least as many rows as clusters, max(c_q, c_k); shorter levels
-    join the exact near field."""
-    return build_plan(n, b, max(config.c_q, config.c_k))
+    holds at least as many rows as the clusters that run,
+    max(config.query_clusters, c_k); shorter levels join the exact near field."""
+    return build_plan(n, b, max(config.query_clusters, config.c_k))
 
 
 def muse_causal(q, k, v, config: MuseConfig, b: int, threads: int = 1, block_fn=None):

@@ -12,7 +12,7 @@ with room left. Everything is deterministic given the generator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import pairwise
 
 import numpy as np
@@ -27,33 +27,27 @@ class CentroidInit:
 
 @dataclass
 class Clustering:
-    """Assignment of n tokens to c capped clusters, in a segment-sorted layout.
+    """Assignment of n tokens to c non-empty clusters, in a segment-sorted layout.
 
     `order` lists the token ids sorted by cluster, ascending within each
-    cluster; cluster j is order[offsets[j]:offsets[j + 1]] and holds at least
-    one and at most `cap` tokens. centroids[j] is the mean of its member
-    vectors, in an array of its own (never one that k-means worked in).
+    cluster; cluster j is order[offsets[j]:offsets[j + 1]]. centroids[j] is
+    the mean of its member vectors, in an array of its own (never one that
+    k-means worked in).
     """
 
     assignments: np.ndarray  # (n,) int64
     centroids: np.ndarray  # (c, d)
     order: np.ndarray = field(repr=False)  # (n,) int64
     offsets: np.ndarray = field(repr=False)  # (c + 1,) int64
-    cap: int
-    init_fallback: bool = False
 
     @property
     def sizes(self) -> np.ndarray:
         return np.diff(self.offsets)
 
-    @property
-    def members(self) -> list:
-        """Ascending token ids per cluster (views into `order`)."""
-        return _segments(self.order, self.offsets)
-
     def groups(self, x: np.ndarray) -> list:
         """Rows of x per cluster, as views into the one gathered copy x[order]."""
-        return _segments(x[self.order], self.offsets)
+        rows = x[self.order]
+        return [rows[a:b] for a, b in pairwise(self.offsets.tolist())]
 
 
 @dataclass
@@ -71,10 +65,6 @@ def _layout(assign: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
     return order, offsets
 
 
-def _segments(rows: np.ndarray, offsets: np.ndarray) -> list:
-    return [rows[a:b] for a, b in pairwise(offsets.tolist())]
-
-
 def _means(x, order, offsets):
     """(c, d) member means of clusters that are all non-empty, by segment sums
     over x[order]."""
@@ -84,14 +74,21 @@ def _means(x, order, offsets):
 
 def clustering_from_assignments(x: np.ndarray, assign: np.ndarray, c: int) -> Clustering:
     """The clustering of x that labels in [0, c) define, with fresh member-mean
-    centroids and cap = the largest cluster; `kmeans` builds its result here too.
-    An empty cluster is rejected."""
+    centroids; `kmeans` builds its result here too. Labels that are not one
+    integer per token, an id outside [0, c) and an empty cluster are rejected."""
+    assign = np.asarray(assign)
+    if assign.shape != x.shape[:1]:
+        raise ValueError(f"need one label per token: labels of shape {assign.shape} "
+                         f"for {x.shape[0]} tokens")
+    if not np.issubdtype(assign.dtype, np.integer):
+        raise ValueError(f"labels must be integers, got {assign.dtype}")
+    if assign.size and (assign.min() < 0 or assign.max() >= c):
+        raise ValueError(f"labels must lie in [0, {c}), got [{assign.min()}, {assign.max()}]")
     order, offsets = _layout(assign, c)
-    sizes = np.diff(offsets)
-    if sizes.min() == 0:
+    if np.diff(offsets).min() == 0:
         raise ValueError("assignment leaves an empty cluster")
     return Clustering(assignments=assign.astype(np.int64), centroids=_means(x, order, offsets),
-                      order=order, offsets=offsets, cap=int(sizes.max()))
+                      order=order, offsets=offsets)
 
 
 def _sq_dists(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -216,17 +213,21 @@ def kmeans(
     rng: np.random.Generator,
     init: CentroidInit | None = None,
 ) -> Clustering:
-    """`iters` uncapped Lloyd iterations, then one capped assignment pass, each
-    followed by the empty-cluster repair. Nearest-centroid ties break toward
-    the lowest id. No returned cluster is empty, and the centroids are a fresh
-    array of member means.
+    """`iters` uncapped Lloyd iterations, then one capped assignment pass with
+    at most ceil(cap_ratio * n / c) tokens per cluster, each followed by the
+    empty-cluster repair. Nearest-centroid ties break toward the lowest id. No
+    returned cluster is empty, and the centroids are a fresh array of member
+    means.
 
     `init` replaces the squared-norm-proportional seeding with a given
-    `CentroidInit`: its (c, d) centroids start the iterations and its
-    `uniform_fallback` flag becomes the result's `init_fallback` (tests use
-    it to share one seeding across calls).
+    `CentroidInit` whose (c, d) centroids start the iterations (tests use it
+    to share one seeding across calls).
     """
     x = np.asarray(x)
+    if x.ndim != 2:
+        raise ValueError(f"x must have shape (n, d), got ndim={x.ndim}")
+    if not (np.isfinite(x.min(initial=0.0)) and np.isfinite(x.max(initial=0.0))):  # NaN propagates
+        raise ValueError("x contains non-finite entries")
     n = x.shape[0]
     if c > n:
         raise ValueError("more clusters than points")
@@ -247,8 +248,7 @@ def kmeans(
 
     cap = math.ceil(cap_ratio * n / c)
     assign = _repair_empties(x, centroids, cap_assign(x, centroids, cap))
-    clustering = clustering_from_assignments(x, assign, c)
-    return replace(clustering, cap=cap, init_fallback=init.uniform_fallback)
+    return clustering_from_assignments(x, assign, c)
 
 
 def decompose(x: np.ndarray, clustering: Clustering) -> ResidualDecomposition:

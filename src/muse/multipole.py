@@ -13,6 +13,7 @@ cluster per token, or with zero query residuals, the output is exact.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,9 @@ class MuseConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("c_q", "c_k", "kmeans_iters"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.c_q < 1 or self.c_k < 1:
             raise ValueError("cluster counts must be >= 1")
         if self.kmeans_iters < 1:
@@ -79,14 +83,6 @@ class ClusterSummaries:
     vbar: np.ndarray  # (c_q, c_k, d)
     mu: np.ndarray  # (c_q, c_k)
     cov_vk: np.ndarray  # (c_k, d, d)
-
-
-@dataclass
-class AggregatedDipoles:
-    """One dipole matrix per query cluster: the softmax(mu[i])-weighted
-    mixture of the per-key-cluster covariances."""
-
-    cov_q: np.ndarray  # (c_q, d, d)
 
 
 def _padded(groups: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -137,18 +133,19 @@ def stage1(qbar: np.ndarray, key_clusters: list, value_clusters: list) -> Cluste
     return ClusterSummaries(kbar=kbar, vbar=vbar, mu=mu.T, cov_vk=cov_vk)
 
 
-def aggregate_dipoles(summaries: ClusterSummaries) -> AggregatedDipoles:
-    """Mix the per-key-cluster covariances with weights softmax_j(mu[i, :]),
-    the merge weights a zero-residual query would use."""
+def aggregate_dipoles(summaries: ClusterSummaries) -> np.ndarray:
+    """One (d, d) dipole matrix per query cluster, (c_q, d, d): the mixture of
+    the per-key-cluster covariances with weights softmax_j(mu[i, :]), the
+    merge weights a zero-residual query would use."""
     w = stable_softmax(summaries.mu, axis=-1)
     c_k, d, _ = summaries.cov_vk.shape
-    return AggregatedDipoles(cov_q=(w @ summaries.cov_vk.reshape(c_k, d * d)).reshape(-1, d, d))
+    return (w @ summaries.cov_vk.reshape(c_k, d * d)).reshape(-1, d, d)
 
 
 def final_stage(
     residual_clusters: list,
     summaries: ClusterSummaries,
-    dipoles: AggregatedDipoles,
+    dipoles: np.ndarray,
     ablation: str = "full",
     value_mean: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -156,7 +153,7 @@ def final_stage(
 
     Scores are S_j = qres . kbar[i, j] + mu[i, j] (the logsumexp bias applies
     the per-cluster mass in log space); the output is the softmax combination
-    of the tilted value centroids plus the dipole correction qres . cov_q[i]^T
+    of the tilted value centroids plus the dipole correction qres . dipoles[i]^T
     contracted over the key index. Residuals are already in scaled units.
 
     Returns the (y rows, mu rows) of all residuals in cluster order, as flat
@@ -171,7 +168,7 @@ def final_stage(
     p, mu_rows = softmax_logsumexp_inplace(s)
     y = np.matmul(p, summaries.vbar)
     if ablation in ("full", "single_query_cluster"):
-        y += np.matmul(rpad, dipoles.cov_q.transpose(0, 2, 1))
+        y += np.matmul(rpad, dipoles.transpose(0, 2, 1))
     elif ablation == "no_monopole":
         if value_mean is None:
             raise ValueError("no_monopole requires the global value mean")

@@ -51,30 +51,22 @@ def derive_seed(seed: int, *path: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _check_overflow(hi: np.ndarray) -> None:
-    """Reject a +inf slice max: the scores overflowed, which is not a mask."""
-    if (hi == np.inf).any():
-        raise ValueError("score overflow: +inf in the scores (input norms too large for the dtype)")
-
-
 def stable_logsumexp(scores: np.ndarray, axis: int = -1, keepdims: bool = False) -> np.ndarray:
-    """max-shifted log-sum-exp along `axis`; finite for any finite input.
+    """max-shifted log-sum-exp along `axis`, by `shifted_exp_inplace` on a float
+    copy of `scores`; finite for any finite input.
 
     -inf entries act as mask sentinels and contribute exp(-inf) = 0; a fully
-    masked slice reduces to -inf. NaN and +inf input are rejected.
+    masked slice reduces to -inf. Raises as `shifted_exp_inplace` does on an
+    empty reduction, NaN input and a +inf score.
     """
     scores = np.asarray(scores)
-    if scores.shape == () or scores.shape[axis] == 0:
-        raise ValueError("empty reduction")
-    if np.isnan(scores).any():
-        raise ValueError("NaN in logsumexp input")
-    hi = np.max(scores, axis=axis, keepdims=True)
-    _check_overflow(hi)
-    # for all-masked slices exp(-inf - -inf) would be NaN; pin the shift to 0 there
-    shift = np.where(np.isfinite(hi), hi, 0.0)
-    with np.errstate(divide="ignore"):  # log(0) = -inf is the wanted all-masked result
-        out = np.log(np.sum(np.exp(scores - shift), axis=axis, keepdims=True)) + shift
-    out = np.where(np.isfinite(hi), out, -np.inf)
+    x = scores.astype(np.result_type(scores, 0.0))
+    masked = np.all(x == -np.inf, axis=axis, keepdims=True)
+    np.copyto(x, 0, where=masked)  # a finite shift for the fully masked slices, whose result is -inf
+    hi = shifted_exp_inplace(x, axis)
+    out = np.log(np.sum(x, axis=axis, keepdims=True))
+    out += hi
+    out[masked] = -np.inf
     if not keepdims:
         out = np.squeeze(out, axis=axis)
     return out[()] if out.ndim == 0 else out
@@ -105,8 +97,9 @@ def shifted_exp_inplace(scores: np.ndarray, axis: int = -1) -> np.ndarray:
         raise ValueError("empty reduction")
     hi = np.max(scores, axis=axis, keepdims=True)
     if np.isnan(hi).any():  # max propagates NaN, so this sees every NaN entry
-        raise ValueError("NaN in softmax input")
-    _check_overflow(hi)
+        raise ValueError("NaN in the scores")
+    if (hi == np.inf).any():  # a +inf max means the scores overflowed, not a mask
+        raise ValueError("score overflow: +inf in the scores (input norms too large for the dtype)")
     if not np.isfinite(hi).all():
         raise ValueError("fully masked row")
     np.subtract(scores, hi, out=scores)

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from muse import MuseConfig, attend, attend_causal, build_plan, muse_causal, rel_sq_error
+from muse import MuseConfig, attend, attend_causal, build_plan, causal_plan, muse_causal, rel_sq_error
 from muse.causal import CausalPlan
 
 from oracles import causal_pair_counts, naive_attend_causal
@@ -123,6 +123,17 @@ def test_near_field_absorbs_spans_below_cluster_counts():
     assert plan.muse_query_rows == 0 and plan.levels == [] and plan.near == 256
     with pytest.raises(ValueError, match=r"powers of two, got n=256, b=24"):
         muse_causal(q, k, v, cfg, b=24)
+
+
+def test_single_query_cluster_plan_ignores_the_unused_c_q():
+    # the ablation runs one query cluster, so c_q must not shrink the clustered far field
+    one = MuseConfig(c_q=1, c_k=8, ablation="single_query_cluster")
+    big = MuseConfig(c_q=512, c_k=8, ablation="single_query_cluster")
+    assert causal_plan(4096, 64, big).near == causal_plan(4096, 64, one).near == 64
+    q, k, v = make_qkv(8, n=1024)
+    a = muse_causal(q, k, v, MuseConfig(c_q=256, c_k=8, ablation="single_query_cluster", seed=0), b=64)
+    b = muse_causal(q, k, v, MuseConfig(c_q=1, c_k=8, ablation="single_query_cluster", seed=0), b=64)
+    assert np.array_equal(a.y, b.y) and np.array_equal(a.mu, b.mu)
 
 
 def test_causal_peak_memory_holds_one_running_result():

@@ -10,6 +10,7 @@ from muse.clustering import (
     CentroidInit,
     _repair_empties,
     cap_assign,
+    clustering_from_assignments,
     decompose,
     inertia,
     init_centroids,
@@ -96,7 +97,7 @@ def test_kmeans_identical_points_capped_valid():
     x = np.ones((10, 2))
     cl = kmeans(x, 3, 2, 1.5, make_rng(0))
     np.testing.assert_allclose(cl.centroids, np.ones((3, 2)), atol=1e-15)
-    assert max(cl.sizes) <= cl.cap
+    assert max(cl.sizes) <= math.ceil(1.5 * 10 / 3)
     assert sum(cl.sizes) == 10
     assert min(cl.sizes) >= 1
 
@@ -115,7 +116,7 @@ def test_kmeans_centroid_is_member_mean():
     rng = np.random.default_rng(6)
     x = rng.normal(size=(50, 4))
     cl = kmeans(x, 5, 2, 1.5, make_rng(1))
-    for j, members in enumerate(cl.members):
+    for j, members in enumerate(np.split(cl.order, cl.offsets[1:-1])):
         assert np.array_equal(members, np.flatnonzero(cl.assignments == j))
         np.testing.assert_allclose(cl.centroids[j], x[members].mean(axis=0), atol=1e-10)
 
@@ -180,6 +181,36 @@ def test_kmeans_validation():
     for cap_ratio in (0.5, np.nan, np.inf):
         with pytest.raises(ValueError, match="cap_ratio must be finite and >= 1"):
             kmeans(x, 2, 1, cap_ratio, make_rng(0))
+
+
+def test_kmeans_rejects_non_matrix_or_non_finite_tokens():
+    x = np.random.default_rng(10).normal(size=(5, 2))
+    with pytest.raises(ValueError, match=r"x must have shape \(n, d\), got ndim=1"):
+        kmeans(x[:, 0], 2, 1, 1.5, make_rng(0))
+    init = init_centroids(x, 2, make_rng(0))
+    for bad in (np.nan, np.inf, -np.inf):
+        y = x.copy()
+        y[3, 1] = bad
+        for given_init in (None, init):
+            with pytest.raises(ValueError, match="x contains non-finite entries"):
+                kmeans(y, 2, 1, 1.5, make_rng(0), init=given_init)
+
+
+def test_clustering_from_assignments_rejects_bad_labels():
+    x = np.random.default_rng(11).normal(size=(8, 2))
+    labels = np.array([0, 1, 2, 0, 1, 2, 0, 1])
+    cl = clustering_from_assignments(x, labels, 3)
+    assert cl.sizes.tolist() == [3, 3, 2] and cl.assignments.dtype == np.int64
+    with pytest.raises(ValueError, match=r"one label per token: labels of shape \(4,\) for 8 tokens"):
+        clustering_from_assignments(x, labels[:4], 3)
+    with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\), got \[0, 3\]"):
+        clustering_from_assignments(x, np.where(labels == 2, 3, labels), 3)
+    with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\), got \[-1, 2\]"):
+        clustering_from_assignments(x, np.where(labels == 1, -1, labels), 3)
+    with pytest.raises(ValueError, match="labels must be integers, got float64"):
+        clustering_from_assignments(x, labels.astype(np.float64), 3)
+    with pytest.raises(ValueError, match="assignment leaves an empty cluster"):
+        clustering_from_assignments(x, labels, 4)
 
 
 def test_cap_assign_slack_identical_to_nearest():
@@ -306,8 +337,9 @@ def test_kmeans_degenerate_inputs_valid(kind, c):
     for cap_ratio in (1.0, 1.5):  # tight caps, and the default
         cl = kmeans(x, c, 1, cap_ratio, make_rng(0))
         sizes = np.bincount(cl.assignments, minlength=c)
-        assert cl.cap == math.ceil(cap_ratio * n / c) and np.array_equal(cl.sizes, sizes)
-        assert sizes.max() <= cl.cap and sizes.sum() == n and sizes.min() >= 1, cap_ratio
+        assert np.array_equal(cl.sizes, sizes)
+        cap = math.ceil(cap_ratio * n / c)
+        assert sizes.max() <= cap and sizes.sum() == n and sizes.min() >= 1, cap_ratio
 
 
 def test_repair_empties_is_one_pass_that_writes_no_centroids():
@@ -346,7 +378,7 @@ def test_decompose_residuals_sum_to_zero_per_cluster():
     x = rng.normal(size=(40, 3))
     cl = kmeans(x, 5, 2, 1.5, make_rng(7))
     dec = decompose(x, cl)
-    for members in cl.members:
+    for members in np.split(cl.order, cl.offsets[1:-1]):
         np.testing.assert_allclose(dec.residual[members].sum(axis=0), 0.0, atol=1e-10)
 
 

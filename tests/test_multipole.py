@@ -105,7 +105,7 @@ def test_aggregate_dipoles_is_softmax_mixture():
     w = stable_softmax(summaries.mu, axis=-1)
     for i in range(c_q):
         want = sum(w[i, j] * summaries.cov_vk[j] for j in range(c_k))
-        np.testing.assert_allclose(agg.cov_q[i], want, atol=1e-13)
+        np.testing.assert_allclose(agg[i], want, atol=1e-13)
 
 
 def test_final_stage_zero_residual_is_summary_merge():
@@ -397,6 +397,14 @@ def test_config_validation():
         MuseConfig(ablation="nope")
     assert MuseConfig().resolve_scale(16) == pytest.approx(0.25)
     assert MuseConfig(scale=0.5).resolve_scale(16) == 0.5
+
+
+@pytest.mark.parametrize("field", ["c_q", "c_k", "kmeans_iters"])
+def test_config_rejects_non_integer_counts(field):
+    for value in (2.5, 4.0, "4"):
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+            MuseConfig(**{field: value})
+    assert getattr(MuseConfig(**{field: np.int64(4)}), field) == 4
 
 
 @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf, -math.inf])
