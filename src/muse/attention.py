@@ -84,7 +84,8 @@ def _attend(q, k, v, bias, scale, threads, window=None) -> AttentionResult:
     out[:, d] and mu = max + log(out[:, d]): the score tile is touched five
     times (product, max, subtract, exp, product), and normalising costs d
     divisions per row, not n_k. Rows are independent, so the tiling does not
-    change any row's result beyond matmul reassociation.
+    change any row's result beyond matmul reassociation. One score tile is
+    alive at a time, so a slice's peak is one TILE x n_k tile plus its rows.
     """
     if scale is None:
         scale = 1.0 / math.sqrt(q.shape[3])
@@ -122,6 +123,7 @@ def _attend(q, k, v, bias, scale, threads, window=None) -> AttentionResult:
             np.divide(out[:, :d], out[:, d:], out=y[bi, hi, lo:up])
             np.log(out[:, d], out=mu[bi, hi, lo:up])
             mu[bi, hi, lo:up] += top[:, 0]
+            del s, out  # else the next tile is allocated while this one is still held
 
     _map_slices(run, b * h, threads)
     return AttentionResult(y=y, mu=mu)

@@ -4,10 +4,10 @@ far-field blocks.
 The lower-triangular attention matrix splits into aligned near-field blocks
 and a binary tree of strictly-lower blocks whose spans double per level;
 every (query, key) pair with key <= query is covered by exactly one block.
-The near-field block size is the first span b * 2**l that can be clustered,
-so the plan lists only the levels that run the clustered approximation. Each
-of their blocks, the far field, is merged into the running result over its
-own query rows by logsumexp weighting.
+The near-field block size is the first span b * 2**l at which clustering
+costs less than exact attention, so the plan lists only the levels that run
+the clustered approximation. Each of their blocks, the far field, is merged
+into the running result over its own query rows by logsumexp weighting.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ class CausalPlan:
 
     The near field is exact causal attention within aligned blocks of `near`
     rows, the first span b * 2**k that is at least min(min_span, n), so it
-    is n when no shorter span reaches min_span. levels[l] = (span, blocks) where
+    is b when min_span <= b and n when no shorter span reaches min_span; for
+    `muse_causal` it is the span that ran. levels[l] = (span, blocks) where
     span = near * 2**l and blocks is a list of ((q_start, q_stop),
     (k_start, k_stop)) pairs, disjoint in queries; every below-diagonal block
     is strictly lower (all keys precede all queries).
@@ -83,19 +84,28 @@ def build_plan(n: int, b: int, min_span: int = 1) -> CausalPlan:
 
 def causal_plan(n: int, b: int, config: MuseConfig) -> CausalPlan:
     """The plan `muse_causal` runs: a level is clustered only when its span
-    holds at least as many rows as the clusters that run,
-    max(config.query_clusters, c_k); shorter levels join the exact near field."""
-    return build_plan(n, b, max(config.query_clusters, config.c_k))
+    reaches max(config.near_min, config.query_clusters, c_k); shorter levels
+    join the exact near field, whose blocks are never shorter than b.
+
+    near_min is the cost crossover: a clustered call has a fixed cost of
+    about 1 ms per slice, so short blocks run faster, and more accurately,
+    as exact attention. Its default, 2048, had the lowest median time of
+    the spans 256-4096, or was within 4% of it, at d=16 and d=64 for C from
+    16 to 64 and n of 8192 and 16384 (scripts/near_sweep.py). The cluster
+    counts keep every clustered block at least as long as the clusters
+    that run."""
+    return build_plan(n, b, max(config.near_min, config.query_clusters, config.c_k))
 
 
 def muse_causal(q, k, v, config: MuseConfig, b: int, threads: int = 1, block_fn=None):
     """Causal attention via the block plan `causal_plan(n, b, config)`.
 
-    The diagonal blocks plus every level too short to cluster run as one
-    exact `attend_causal` call per near-field block. Each far-field block
-    clusters its own queries/keys from scratch, runs the acausal
-    approximation and is merged into the running (y, mu) over its query
-    rows, so one (batch, heads, n, d) output is all that is held.
+    The diagonal blocks plus every level shorter than the crossover span
+    (`config.near_min`, at least the cluster counts) run as one exact
+    `attend_causal` call per near-field block of `plan.near` rows. Each
+    far-field block clusters its own queries/keys from scratch, runs the
+    acausal approximation and is merged into the running (y, mu) over its
+    query rows, so one (batch, heads, n, d) output is all that is held.
 
     `block_fn(q, k, v) -> AttentionResult` overrides the far-field
     computation (the structural oracle swaps in exact attend).

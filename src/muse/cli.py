@@ -198,7 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_bench)
 
     p = sub.add_parser("causal-bench", help="hierarchical causal vs exact causal")
-    _add_workload_args(p)
+    # n = 8192: at n <= near_min (2048) the plan has no clustered level
+    _add_workload_args(p, n=8192)
     _add_muse_args(p, grid=False)
     p.add_argument("--block", type=int, default=128, help="diagonal block size")
     p.add_argument("--seeds", type=int, default=1)

@@ -234,6 +234,7 @@ def causal_bench(spec: WorkloadSpec, config: MuseConfig, block: int,
     report.metadata = {
         "levels": len(plan.levels),
         "muse_query_rows": plan.muse_query_rows,
+        "near": plan.near,
         "path": "exact path (no MuSe blocks)" if plan.muse_query_rows == 0 else "hierarchical",
     }
     errs = [r.rel_sq_error for r in report.rows if r.label == "muse_causal"]
@@ -316,9 +317,12 @@ def selftest(dtype: str = "f64", seed: int = 0, threads: int = 1) -> list[tuple[
                          seed=seed + 1, dtype=dtype)
     cq, ck, cv = generate(cspec)
     ref = attend_causal(cq, ck, cv, scale=1.0 / np.sqrt(cspec.d), threads=threads)
-    swap = muse_causal(cq, ck, cv, MuseConfig(c_q=4, c_k=4, seed=seed), b=16, threads=threads,
+    # near_min=1 keeps the far-field blocks that the swap replaces (near = b = 16)
+    ccfg = MuseConfig(c_q=4, c_k=4, seed=seed, near_min=1)
+    swapped = causal_plan(cspec.n, 16, ccfg).muse_query_rows
+    swap = muse_causal(cq, ck, cv, ccfg, b=16, threads=threads,
                        block_fn=lambda a, b_, c_: attend(a, b_, c_, scale=1.0 / np.sqrt(cspec.d)))
     err = rel_sq_error(ref, swap)
-    results.append(("causal_structural_merge", err <= (1e-20 if dtype == "f64" else 1e-8),
-                    f"rel_sq_error {err:.3e}"))
+    results.append(("causal_structural_merge", swapped > 0 and err <= (1e-20 if dtype == "f64" else 1e-8),
+                    f"rel_sq_error {err:.3e} over {swapped} swapped rows"))
     return results

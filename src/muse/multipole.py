@@ -35,6 +35,8 @@ class MuseConfig:
     everything else fixed: no_dipole drops the covariance correction,
     single_query_cluster forces c_q=1, no_monopole replaces the weighted
     summary combination with a global value mean plus the dipole term alone.
+    near_min is read by the causal plan only: levels of `muse_causal` that
+    span fewer rows run exact (see `causal_plan`).
     """
 
     c_q: int = 64
@@ -44,15 +46,18 @@ class MuseConfig:
     scale: float | None = None
     ablation: str = "full"
     seed: int = 0
+    near_min: int = 2048
 
     def __post_init__(self):
-        for name in ("c_q", "c_k", "kmeans_iters"):
+        for name in ("c_q", "c_k", "kmeans_iters", "near_min"):
             if not isinstance(getattr(self, name), numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.c_q < 1 or self.c_k < 1:
             raise ValueError("cluster counts must be >= 1")
         if self.kmeans_iters < 1:
             raise ValueError("kmeans_iters must be >= 1")
+        if self.near_min < 1:
+            raise ValueError("near_min must be >= 1")
         if not 1.0 <= self.cap_ratio < math.inf:
             raise ValueError("cap_ratio must be finite and >= 1")
         if self.scale is not None and not 0 < self.scale < math.inf:

@@ -73,14 +73,15 @@ def stable_logsumexp(scores: np.ndarray, axis: int = -1, keepdims: bool = False)
 
 
 def stable_softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Shifted softmax along `axis`, computed on a float copy of `scores`.
-    -inf entries map to exactly 0.
+    """Shifted softmax along `axis`, computed on a float copy of `scores`
+    (`result_type(scores, 0.0)`, as in `stable_logsumexp`, so integer and bool
+    scores run in float64). -inf entries map to exactly 0.
 
     Raises as `shifted_exp_inplace` does: on an empty reduction, NaN input,
     a +inf score and any fully masked (all -inf) slice.
     """
     scores = np.asarray(scores)
-    p, _ = softmax_logsumexp_inplace(scores.astype(np.result_type(scores, np.float16)), axis)
+    p, _ = softmax_logsumexp_inplace(scores.astype(np.result_type(scores, 0.0)), axis)
     return p
 
 

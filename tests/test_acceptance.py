@@ -20,6 +20,7 @@ from muse import (
     attend,
     attend_causal,
     build_plan,
+    causal_plan,
     error_sweep,
     fd_sensitivity,
     generate,
@@ -96,8 +97,9 @@ def test_acceptance_02_exactness_corners():
 def test_acceptance_03_causal_structure():
     rng = np.random.default_rng(3)
     q, k, v = (rng.normal(size=(1, 2, 256, 8)) for _ in range(3))
-    out = muse_causal(q, k, v, MuseConfig(c_q=8, c_k=8, seed=0), b=32,
-                      block_fn=lambda qb, kb, vb: attend(qb, kb, vb))
+    cfg = MuseConfig(c_q=8, c_k=8, seed=0, near_min=1)
+    assert causal_plan(256, 32, cfg).muse_query_rows > 0
+    out = muse_causal(q, k, v, cfg, b=32, block_fn=lambda qb, kb, vb: attend(qb, kb, vb))
     err = rel_sq_error(attend_causal(q, k, v), out)
     assert err <= 1e-20, f"structural rel_sq_error {err:.3e}"
     for n, b in ((64, 8), (128, 32), (256, 16), (512, 64), (512, 512)):
@@ -115,7 +117,8 @@ def test_acceptance_04_strict_causality():
     rng = np.random.default_rng(4)
     n, b = 1024, 128
     q, k, v = (rng.normal(size=(1, 1, n, 8)) for _ in range(3))
-    cfg = MuseConfig(c_q=32, c_k=32, kmeans_iters=2, seed=0)
+    cfg = MuseConfig(c_q=32, c_k=32, kmeans_iters=2, seed=0, near_min=1)
+    assert causal_plan(n, b, cfg).muse_query_rows > 0
     base = muse_causal(q, k, v, cfg, b=b)
     for t in rng.integers(1, n, size=10):
         t = int(t)

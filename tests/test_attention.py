@@ -443,3 +443,19 @@ def test_peak_memory_stays_below_a_quarter_score_matrix(entry):
     finally:
         tracemalloc.stop()
     assert peak < n * n * 4 / 4, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_exact_kernel_holds_one_score_tile():
+    # a 2048-row causal block (a near-field block of muse_causal) scores at most
+    # TILE x 2048 keys per tile; holding the last tile while the next is made
+    # peaks near two tiles
+    n = 2048
+    q, k, v = make_qkv(27, n=n, d=16, dtype=np.float32)
+    tracemalloc.start()
+    try:
+        attend_causal(q, k, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tile = TILE * n * 4
+    assert peak < 1.5 * tile, f"peak {peak / 1e6:.2f} MB = {peak / tile:.2f} tiles"

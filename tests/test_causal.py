@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -70,7 +71,8 @@ def test_structural_merge_with_exact_blocks():
     # swapping exact attention into every below-diagonal block must
     # reproduce exact causal attention up to merge roundoff
     q, k, v = make_qkv(0, n=128, d=6, b=2, h=2)
-    cfg = MuseConfig(c_q=4, c_k=4, seed=0)
+    cfg = MuseConfig(c_q=4, c_k=4, seed=0, near_min=1)
+    assert causal_plan(128, 16, cfg).muse_query_rows > 0
     out = muse_causal(q, k, v, cfg, b=16, block_fn=lambda qb, kb, vb: attend(qb, kb, vb))
     ref = attend_causal(q, k, v)
     assert rel_sq_error(ref, out) <= 1e-20
@@ -85,7 +87,9 @@ def test_block_fn_sees_strictly_lower_slices():
         seen.append((qb.shape[2], kb.shape[2]))
         return attend(qb, kb, vb)
 
-    muse_causal(q, k, v, MuseConfig(c_q=4, c_k=4, seed=0), b=8, block_fn=spy)
+    cfg = MuseConfig(c_q=4, c_k=4, seed=0, near_min=1)
+    assert causal_plan(64, 8, cfg).muse_query_rows > 0
+    muse_causal(q, k, v, cfg, b=8, block_fn=spy)
     spans = sorted(s for s, _ in seen)
     assert spans == sorted([8, 8, 8, 8, 16, 16, 32])
     assert all(qn == kn for qn, kn in seen)
@@ -105,7 +109,8 @@ def test_near_field_absorbs_spans_below_cluster_counts():
     # C = 32 > b = 8: spans 8 and 16 join the diagonal, so the near field is
     # exact causal attention within aligned blocks of 32 rows
     q, k, v = make_qkv(3, n=256, d=6)
-    cfg = MuseConfig(c_q=32, c_k=32, kmeans_iters=1, seed=0)
+    cfg = MuseConfig(c_q=32, c_k=32, kmeans_iters=1, seed=0, near_min=1)
+    assert causal_plan(256, 8, cfg).muse_query_rows > 0
     out = muse_causal(q, k, v, cfg, b=8)
     first = attend_causal(q[:, :, :32], k[:, :, :32], v[:, :, :32])
     assert np.array_equal(out.y[:, :, :32], first.y) and np.array_equal(out.mu[:, :, :32], first.mu)
@@ -116,7 +121,7 @@ def test_near_field_absorbs_spans_below_cluster_counts():
     assert plan.muse_query_rows == clustered == 128 * 3 and len(plan.levels) == 3
     assert rel_sq_error(attend_causal(q, k, v), out) < 0.2
     # no span reaches C: the near field is capped at n and the call is exact causal attention
-    out = muse_causal(q, k, v, MuseConfig(c_q=256, c_k=256, seed=0), b=8)
+    out = muse_causal(q, k, v, MuseConfig(c_q=256, c_k=256, seed=0, near_min=1), b=8)
     ref = attend_causal(q, k, v)
     assert np.array_equal(out.y, ref.y) and np.array_equal(out.mu, ref.mu)
     plan = build_plan(256, 8, 256)
@@ -125,14 +130,31 @@ def test_near_field_absorbs_spans_below_cluster_counts():
         muse_causal(q, k, v, cfg, b=24)
 
 
+def test_near_min_sizes_the_near_field():
+    # the benchmark's causal shape: levels shorter than 2048 rows run exact
+    plan = causal_plan(8192, 256, MuseConfig(c_q=32, c_k=32))
+    assert plan.near == 2048 and plan.b == 256 and len(plan.diagonal_blocks()) == 4
+    assert [(span, len(blocks)) for span, blocks in plan.levels] == [(2048, 2), (4096, 1)]
+    assert plan.muse_query_rows == 8192
+    # the first span b * 2**k reaching max(near_min, c_q, c_k); b is the floor
+    for near_min, c, want in ((3000, 32, 4096), (64, 512, 512), (1, 1, 256), (1 << 20, 32, 8192)):
+        assert causal_plan(8192, 256, MuseConfig(c_q=c, c_k=c, near_min=near_min)).near == want
+    # no level reaches the default near_min: the call is exact causal attention
+    q, k, v = make_qkv(10, n=1024)
+    out = muse_causal(q, k, v, MuseConfig(c_q=8, c_k=8, seed=0), b=64)
+    ref = attend_causal(q, k, v)
+    assert np.array_equal(out.y, ref.y) and np.array_equal(out.mu, ref.mu)
+
+
 def test_single_query_cluster_plan_ignores_the_unused_c_q():
     # the ablation runs one query cluster, so c_q must not shrink the clustered far field
-    one = MuseConfig(c_q=1, c_k=8, ablation="single_query_cluster")
-    big = MuseConfig(c_q=512, c_k=8, ablation="single_query_cluster")
+    one = MuseConfig(c_q=1, c_k=8, ablation="single_query_cluster", near_min=1)
+    big = MuseConfig(c_q=512, c_k=8, ablation="single_query_cluster", near_min=1)
     assert causal_plan(4096, 64, big).near == causal_plan(4096, 64, one).near == 64
+    assert causal_plan(1024, 64, big).muse_query_rows > 0
     q, k, v = make_qkv(8, n=1024)
-    a = muse_causal(q, k, v, MuseConfig(c_q=256, c_k=8, ablation="single_query_cluster", seed=0), b=64)
-    b = muse_causal(q, k, v, MuseConfig(c_q=1, c_k=8, ablation="single_query_cluster", seed=0), b=64)
+    a = muse_causal(q, k, v, replace(big, c_q=256, seed=0), b=64)
+    b = muse_causal(q, k, v, replace(one, seed=0), b=64)
     assert np.array_equal(a.y, b.y) and np.array_equal(a.mu, b.mu)
 
 
@@ -154,8 +176,9 @@ def test_causal_peak_memory_holds_one_running_result():
 
 def test_matches_naive_causal_oracle_with_exact_blocks():
     q, k, v = make_qkv(4, n=32, d=4)
-    out = muse_causal(q, k, v, MuseConfig(c_q=2, c_k=2, seed=0), b=8,
-                      block_fn=lambda qb, kb, vb: attend(qb, kb, vb))
+    cfg = MuseConfig(c_q=2, c_k=2, seed=0, near_min=1)
+    assert causal_plan(32, 8, cfg).muse_query_rows > 0
+    out = muse_causal(q, k, v, cfg, b=8, block_fn=lambda qb, kb, vb: attend(qb, kb, vb))
     y, mu = naive_attend_causal(q, k, v, scale=0.5)
     np.testing.assert_allclose(out.y, y, atol=1e-12)
     np.testing.assert_allclose(out.mu, mu, atol=1e-12)
@@ -164,7 +187,8 @@ def test_matches_naive_causal_oracle_with_exact_blocks():
 def test_first_tokens_match_exact_regardless_of_approximation():
     # tokens inside the first diagonal block never touch an approximate block
     q, k, v = make_qkv(5, n=512, d=8)
-    cfg = MuseConfig(c_q=16, c_k=16, kmeans_iters=2, seed=0)
+    cfg = MuseConfig(c_q=16, c_k=16, kmeans_iters=2, seed=0, near_min=1)
+    assert causal_plan(512, 64, cfg).muse_query_rows > 0
     out = muse_causal(q, k, v, cfg, b=64)
     ref = attend_causal(q, k, v)
     np.testing.assert_allclose(out.y[:, :, :64], ref.y[:, :, :64], atol=1e-12)
@@ -172,7 +196,8 @@ def test_first_tokens_match_exact_regardless_of_approximation():
 
 
 def strict_causality_outputs(n=512, b=64, t=200, mode="single"):
-    cfg = MuseConfig(c_q=16, c_k=16, kmeans_iters=2, seed=0)
+    cfg = MuseConfig(c_q=16, c_k=16, kmeans_iters=2, seed=0, near_min=1)
+    assert causal_plan(n, b, cfg).muse_query_rows > 0
     q, k, v = make_qkv(6, n=n, d=8)
     base = muse_causal(q, k, v, cfg, b=b)
     k2, v2 = k.copy(), v.copy()
@@ -201,7 +226,8 @@ def test_causal_error_close_to_acausal_error():
     spec = WorkloadSpec(kind="gaussian_mixture", n=2048, d=16, c_true=16,
                         spread=0.3, seed=0)
     q, k, v = generate(spec)
-    cfg = MuseConfig(c_q=32, c_k=32, kmeans_iters=2, seed=0)
+    cfg = MuseConfig(c_q=32, c_k=32, kmeans_iters=2, seed=0, near_min=1)
+    assert causal_plan(2048, 256, cfg).muse_query_rows > 0
     causal_err = rel_sq_error(attend_causal(q, k, v), muse_causal(q, k, v, cfg, b=256))
     acausal_err = rel_sq_error(attend(q, k, v), muse_acausal(q, k, v, cfg))
     assert causal_err <= 2.0 * acausal_err
@@ -215,7 +241,8 @@ def test_shape_validation():
 
 def test_threads_bit_identical():
     q, k, v = make_qkv(8, n=128, d=4, b=2, h=2)
-    cfg = MuseConfig(c_q=8, c_k=8, seed=0)
+    cfg = MuseConfig(c_q=8, c_k=8, seed=0, near_min=1)
+    assert causal_plan(128, 16, cfg).muse_query_rows > 0
     a = muse_causal(q, k, v, cfg, b=16, threads=1)
     b_ = muse_causal(q, k, v, cfg, b=16, threads=4)
     assert np.array_equal(a.y, b_.y) and np.array_equal(a.mu, b_.mu)

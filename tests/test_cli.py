@@ -82,11 +82,13 @@ def test_causal_bench_degenerate_note(capsys):
 
 def test_causal_bench_hierarchical(capsys):
     code, out, _ = run_cli(capsys,
-                           "causal-bench", "--n", "256", "--block", "64",
+                           "causal-bench", "--n", "4096", "--block", "64",
                            "--d", "8", "--clusters", "16")
     assert code == 0
     doc = json.loads(out)
+    # the default near field of 2048 rows leaves one clustered level of 2048 rows
     assert doc["metadata"]["path"] == "hierarchical"
+    assert doc["metadata"]["near"] == 2048 and doc["metadata"]["muse_query_rows"] == 2048
 
 
 def test_gen_qkv_then_file_workload_round_trip(capsys, tmp_path):
@@ -209,4 +211,4 @@ def test_defaults_match_documented_operating_point():
     bench = parser.parse_args(["bench"])
     assert bench.budget == 2 ** 18 and bench.n_list == [1024, 2048, 4096]
     causal = parser.parse_args(["causal-bench"])
-    assert causal.block == 128
+    assert causal.block == 128 and causal.n == 8192

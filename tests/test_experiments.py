@@ -10,6 +10,7 @@ from muse import (
     WorkloadSpec,
     ablation_run,
     causal_bench,
+    causal_plan,
     error_sweep,
     fd_sensitivity,
     generate,
@@ -135,9 +136,10 @@ def test_scaling_bench_rejects_no_reps_and_empty_n():
 
 def test_causal_bench_hierarchical_and_degenerate():
     spec = WorkloadSpec(kind="isotropic_gaussian", n=256, d=8, seed=0)
-    cfg = MuseConfig(c_q=16, c_k=16, seed=0)
+    cfg = MuseConfig(c_q=16, c_k=16, seed=0, near_min=1)
+    assert causal_plan(256, 32, cfg).muse_query_rows > 0
     hier = causal_bench(spec, cfg, block=32)
-    assert hier.metadata["path"] == "hierarchical"
+    assert hier.metadata["path"] == "hierarchical" and hier.metadata["near"] == 32
     assert hier.metadata["muse_query_rows"] == (256 // 2) * 3
     assert len(hier.rows) == 2
     flat = causal_bench(spec, cfg, block=256)
@@ -146,8 +148,8 @@ def test_causal_bench_hierarchical_and_degenerate():
     muse_row = next(r for r in flat.rows if r.label == "muse_causal")
     assert muse_row.rel_sq_error <= 1e-24, "degenerate plan is exact"
     # C = 128 > b = 8: spans 8-64 run in the exact near field, only span 128 is clustered
-    near = causal_bench(spec, MuseConfig(c_q=128, c_k=128, seed=0), block=8)
-    assert near.metadata == {"levels": 1, "muse_query_rows": 128, "path": "hierarchical"}
+    near = causal_bench(spec, MuseConfig(c_q=128, c_k=128, seed=0, near_min=1), block=8)
+    assert near.metadata == {"levels": 1, "muse_query_rows": 128, "near": 128, "path": "hierarchical"}
     with pytest.raises(ValueError, match="seeds must be >= 1"):
         causal_bench(spec, cfg, block=32, seeds=0)
 
@@ -157,12 +159,13 @@ def test_causal_bench_reads_shapes_from_a_file_workload(tmp_path):
     path = tmp_path / "qkv.bin"
     save_qkv(path, *generate(WorkloadSpec(kind="isotropic_gaussian", n=64, d=8, seed=0)))
     spec = WorkloadSpec(kind="file", path=str(path), n=256, d=16)
-    cfg = MuseConfig(c_q=8, c_k=8, seed=0)
+    cfg = MuseConfig(c_q=8, c_k=8, seed=0, near_min=1)
+    assert causal_plan(64, 16, cfg).muse_query_rows > 0
     flat = causal_bench(spec, cfg, block=64)
     assert flat.metadata["muse_query_rows"] == 0
     assert next(r for r in flat.rows if r.label == "muse_causal").rel_sq_error <= 1e-24
     hier = causal_bench(spec, cfg, block=16)
-    assert hier.metadata == {"levels": 2, "muse_query_rows": 64, "path": "hierarchical"}
+    assert hier.metadata == {"levels": 2, "muse_query_rows": 64, "near": 16, "path": "hierarchical"}
     assert [r.tokens_processed for r in hier.rows] == [64, 128]
 
 

@@ -393,13 +393,15 @@ def test_config_validation():
             MuseConfig(cap_ratio=cap_ratio)
     with pytest.raises(ValueError):
         MuseConfig(kmeans_iters=0)
+    with pytest.raises(ValueError, match="near_min must be >= 1"):
+        MuseConfig(near_min=0)
     with pytest.raises(ValueError):
         MuseConfig(ablation="nope")
     assert MuseConfig().resolve_scale(16) == pytest.approx(0.25)
     assert MuseConfig(scale=0.5).resolve_scale(16) == 0.5
 
 
-@pytest.mark.parametrize("field", ["c_q", "c_k", "kmeans_iters"])
+@pytest.mark.parametrize("field", ["c_q", "c_k", "kmeans_iters", "near_min"])
 def test_config_rejects_non_integer_counts(field):
     for value in (2.5, 4.0, "4"):
         with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):

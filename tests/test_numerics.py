@@ -95,6 +95,15 @@ def test_softmax_preserves_dtype():
     assert p32.dtype == np.float32
 
 
+@pytest.mark.parametrize("scores", [np.array([[-128, 0, 5, 127], [3, 3, -2, 1]], dtype=np.int8),
+                                    np.array([[True, False, False], [True, True, False]])])
+def test_softmax_of_integer_and_bool_scores_runs_in_float64(scores):
+    # the precision of stable_logsumexp on the same scores, not float16
+    p = stable_softmax(scores, axis=-1)
+    assert p.dtype == stable_logsumexp(scores, axis=-1).dtype == np.float64
+    assert np.array_equal(p, stable_softmax(scores.astype(np.float64), axis=-1))
+
+
 @given(st.lists(st.floats(min_value=-100, max_value=100) | st.just(-np.inf), min_size=6, max_size=30),
        st.sampled_from([np.float32, np.float64]))
 @settings(max_examples=100, deadline=None)

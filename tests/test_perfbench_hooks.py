@@ -66,15 +66,17 @@ def test_traced_clustered_calls_report_no_problems():
 def test_traced_causal_call_matches_its_plan():
     # `run.py --trace 1` checks that the exact children of muse_causal cover n
     # rows and the clustered children cover the rows of the plan it built.
-    # With C = 32 > b = 8 the spans 8 and 16 run in the exact near field.
+    # near_min=1 keeps the cluster-count rule, so with C = 32 > b = 8 the
+    # spans 8 and 16 run in the exact near field and spans 32-128 are clustered.
     tracing = load_tracing()
     causal = importlib.import_module("muse.causal")
     for shape, c, b in (((1, 2, 512, 8), 8, 64), ((1, 1, 256, 8), 32, 8)):
         tracer = tracing.Tracer({mod: importlib.import_module(mod) for mod, _, _ in tracing.HOOKS})
         rng = np.random.default_rng(1)
         q, k, v = (rng.normal(size=shape).astype(np.float32) for _ in range(3))
+        cfg = MuseConfig(c_q=c, c_k=c, seed=0, near_min=1)
         with tracer.active():
-            causal.muse_causal(q, k, v, MuseConfig(c_q=c, c_k=c, seed=0), b=b)
+            causal.muse_causal(q, k, v, cfg, b=b)
         assert not tracer.missing and not tracer.unrestored()
         stats = tracing.LayerStats(iterations=1)
         stats.add(tracer.take())
@@ -82,5 +84,5 @@ def test_traced_causal_call_matches_its_plan():
         metrics = stats.metrics()
         n = shape[2]
         assert metrics["causal.exact_rows"] == n and metrics["causal.fallback_rows"] == 0
-        assert metrics["causal.muse_rows"] == causal.build_plan(n, b, c).muse_query_rows > 0
+        assert metrics["causal.muse_rows"] == causal.causal_plan(n, b, cfg).muse_query_rows > 0
         assert metrics["attention.merge_partials.ms"] > 0
