@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import check_tensor4, shifted_exp_inplace, stable_logsumexp
+from .numerics import check_integer, check_tensor4, shifted_exp_inplace, stable_logsumexp
 # perfbench/tracing.py wraps muse.attention.stable_softmax, so the name stays importable here
 from .numerics import stable_softmax  # noqa: F401
 
@@ -44,6 +44,8 @@ def _check_qk(q, k):
         raise ValueError(f"q/k shape mismatch: {q.shape} vs {k.shape}")
     if k.shape[2] < 1:
         raise ValueError("need at least one key")
+    if k.shape[3] < 1:
+        raise ValueError("need d >= 1")
     return q, k
 
 
@@ -146,6 +148,7 @@ def attend_causal(q, k, v, scale: float | None = None, threads: int = 1) -> Atte
 
 def attend_sliding(q, k, v, window: int, scale: float | None = None, threads: int = 1) -> AttentionResult:
     """Sliding-window attention: key j contributes to query i iff i - window < j <= i."""
+    check_integer(window, "window")
     if window < 1:
         raise ValueError("window must be >= 1")
     q, k, v, _ = _check_qkv(q, k, v, None)

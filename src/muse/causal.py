@@ -20,7 +20,7 @@ from .attention import AttentionResult, _check_qkv, attend_causal, merge_partial
 # perfbench/tracing.py wraps muse.causal.attend, so the name stays importable here
 from .attention import attend  # noqa: F401
 from .multipole import MuseConfig, muse_acausal
-from .numerics import derive_seed
+from .numerics import check_integer, derive_seed
 
 
 def _is_pow2(x: int) -> bool:
@@ -64,6 +64,8 @@ def build_plan(n: int, b: int, min_span: int = 1) -> CausalPlan:
     b * 2**k that is at least min(min_span, n); for each span S in
     {near, 2 near, ..., n/2} and each odd multiple m, queries [mS, (m+1)S)
     attend keys [(m-1)S, mS)."""
+    check_integer(n, "n")
+    check_integer(b, "b")
     if not _is_pow2(n) or not _is_pow2(b):
         raise ValueError(f"n and b must be powers of two, got n={n}, b={b}")
     if b > n:

@@ -6,7 +6,8 @@ assignment plus one recentering produce the segment-sorted layout the
 summary stages consume. The capped assignment runs in proposal rounds
 (`cap_assign`): tokens whose nearest centroid is over its cap compete for
 its room by margin, and the rejected ones move on to their nearest centroid
-with room left. Everything is deterministic given the generator.
+with room left, found by one masked argmin per round. Everything is
+deterministic given the generator.
 """
 
 from __future__ import annotations
@@ -159,9 +160,13 @@ def cap_assign(x: np.ndarray, centroids: np.ndarray, cap: int) -> np.ndarray:
     most any capped assignment can, and the token that spills from a full
     centroid is the one with the smallest margin. Only tokens whose nearest
     centroid is over its cap compete, so only their margins are computed.
-    Each rejected token ranks its centroids once and moves a pointer past the
-    full ones, so all rounds together take at most c pointer steps per
-    rejected token, however many rounds there are.
+
+    A round costs O(rejected x c): one argmin over each unplaced token's
+    distances to the centroids with room. Tokens that tie every distance all
+    propose to one centroid per round, so identical tokens with c close to n
+    take about c rounds: at n = 1024, d = 16 f32 (one core of a 2-core Xeon),
+    about 6 ms at c = 64, 250 ms at c = 512 and 490 ms at c = 1023, against
+    under 1 ms for 1024 Gaussian tokens at c = 64.
     """
     x = np.asarray(x)
     n, c = x.shape[0], centroids.shape[0]
@@ -176,33 +181,18 @@ def cap_assign(x: np.ndarray, centroids: np.ndarray, cap: int) -> np.ndarray:
     tok = np.flatnonzero(over[assign])  # the competitors
     top2 = np.sort(d2[tok], axis=1)  # a full sort of the short rows beats np.partition here
     tok = tok[np.argsort(top2[:, 0] - top2[:, 1], kind="stable")]  # priority order, ties by id
-    target = assign[tok]
     room = np.where(over, cap, cap - counts)  # the non-competitors keep their nearest centroid
-    pref = None
-    while True:
-        assign[tok] = target
+    while tok.size:
+        target = np.where(room > 0, d2[tok], np.inf).argmin(axis=1)  # ties -> lowest id
         # each centroid accepts its proposals in priority order, up to its room
         by = np.argsort(target, kind="stable")
         grouped = target[by]
         rank = np.arange(by.size) - np.searchsorted(grouped, grouped)
-        rejected = np.sort(by[rank >= room[grouped]])  # back in priority order
+        taken = rank < room[grouped]
+        assign[tok[by[taken]]] = grouped[taken]
         room -= np.minimum(np.bincount(target, minlength=c), room)
-        if not rejected.size:
-            return assign.astype(np.int64)
-        tok = tok[rejected]
-        if pref is None:  # after the first round, rank the rejected tokens' centroids once
-            pref = np.argsort(d2[tok], axis=1, kind="stable").ravel()  # ties by centroid id
-            at = np.arange(tok.size) * c  # flat index of each token's pointer into pref
-        else:
-            at = at[rejected]
-        # a rejection fills the centroid, so every pointer moves on, then past full ones
-        at += 1
-        target = pref[at]
-        stale = np.flatnonzero(room[target] == 0)
-        while stale.size:
-            at[stale] += 1
-            target[stale] = pref[at[stale]]
-            stale = stale[room[target[stale]] == 0]
+        tok = tok[np.sort(by[~taken])]  # the rejected, back in priority order
+    return assign.astype(np.int64)
 
 
 def kmeans(

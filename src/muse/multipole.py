@@ -13,14 +13,14 @@ cluster per token, or with zero query residuals, the output is exact.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .attention import AttentionResult, _check_qk, _check_qkv, _map_slices
 from .clustering import Clustering, clustering_from_assignments, decompose, kmeans
-from .numerics import derive_seed, make_rng, softmax_logsumexp_inplace, stable_softmax
+from .numerics import (check_integer, check_seed, derive_seed, make_rng, softmax_logsumexp_inplace,
+                       stable_softmax)
 # perfbench/tracing.py wraps muse.multipole.stable_logsumexp, so the name stays importable here
 from .numerics import stable_logsumexp  # noqa: F401
 
@@ -50,8 +50,8 @@ class MuseConfig:
 
     def __post_init__(self):
         for name in ("c_q", "c_k", "kmeans_iters", "near_min"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            check_integer(getattr(self, name), name)
+        check_seed(self.seed)
         if self.c_q < 1 or self.c_k < 1:
             raise ValueError("cluster counts must be >= 1")
         if self.kmeans_iters < 1:

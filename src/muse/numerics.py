@@ -6,6 +6,8 @@ row-major. Scores may contain -inf as a mask sentinel; NaN is never legal.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 DTYPES = {"f32": np.float32, "f64": np.float64}
@@ -34,6 +36,19 @@ def check_tensor4(x: np.ndarray, name: str = "tensor") -> np.ndarray:
     if not np.isfinite(x).all():
         raise ValueError(f"{name} contains non-finite entries")
     return x
+
+
+def check_integer(value, name: str) -> None:
+    """Reject a value that is not a Python or numpy integer, by name."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def check_seed(seed) -> None:
+    """Reject a seed that is not a non-negative integer: None would draw fresh
+    OS entropy, so two runs of one configuration would differ."""
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def make_rng(seed: int) -> np.random.Generator:

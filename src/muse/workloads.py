@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DTYPE_CODES, check_tensor4, derive_seed, make_rng, resolve_dtype
+from .numerics import (DTYPE_CODES, check_integer, check_seed, check_tensor4, derive_seed, make_rng,
+                       resolve_dtype)
 
 MAGIC = b"MUSEQKV1"
 _HEADER = struct.Struct("<6I")  # version, dtype code, batch, heads, n, d
@@ -38,15 +39,18 @@ class WorkloadSpec:
     def __post_init__(self):
         if self.kind not in ("isotropic_gaussian", "gaussian_mixture", "file"):
             raise ValueError(f"unknown workload kind {self.kind!r}")
+        for name in ("batch", "heads", "n", "d", "c_true"):
+            check_integer(getattr(self, name), name)
         if min(self.batch, self.heads, self.n, self.d) < 1:
             raise ValueError("batch/heads/n/d must be positive")
+        check_seed(self.seed)
         if self.kind == "gaussian_mixture":
             if not 0 < self.spread < math.inf:
                 raise ValueError("spread must be positive and finite")
             if not math.isfinite(self.centroid_scale):
                 raise ValueError("centroid_scale must be finite")
-            if self.c_true > self.n:
-                raise ValueError("c_true cannot exceed n")
+            if not 1 <= self.c_true <= self.n:
+                raise ValueError(f"need 1 <= c_true <= n, got c_true={self.c_true}, n={self.n}")
         if self.kind == "file" and not self.path:
             raise ValueError("file workload needs a path")
         resolve_dtype(self.dtype)

@@ -119,6 +119,10 @@ def test_attend_shape_validation():
         attend(q, k, v, bias=np.zeros((1, 1, 5)))
     with pytest.raises(ValueError, match="scale"):
         attend(q, k, v, scale=0.0)
+    q, k, v = make_qkv(0, n=6, d=0)
+    for entry in (attend, attend_causal, lambda q, k, v: attend_sliding(q, k, v, window=2)):
+        with pytest.raises(ValueError, match="need d >= 1"):
+            entry(q, k, v)
 
 
 def test_attend_f32_dtype_and_tolerance():
@@ -195,6 +199,8 @@ def test_attend_sliding_window_one_is_self_attention():
     np.testing.assert_allclose(out.y, v, atol=1e-15)
     with pytest.raises(ValueError, match="window"):
         attend_sliding(q, k, v, window=0)
+    with pytest.raises(ValueError, match="window must be an integer"):
+        attend_sliding(q, k, v, window=1.5)
 
 
 @given(seed=st.integers(0, 10 ** 6), n_parts=st.integers(2, 5))

@@ -32,6 +32,10 @@ def test_build_plan_rejects_bad_sizes():
         build_plan(128, 24)
     with pytest.raises(ValueError, match="exceeds sequence length"):
         build_plan(64, 128)
+    with pytest.raises(ValueError, match="b must be an integer"):
+        build_plan(64, 2.0)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        build_plan(64.0, 2)
 
 
 @pytest.mark.parametrize("n,b", [(16, 4), (64, 8), (128, 16), (256, 32), (512, 64), (64, 64)])
@@ -237,6 +241,11 @@ def test_shape_validation():
     q, k, v = make_qkv(7, n=32, d=4)
     with pytest.raises(ValueError, match="identical"):
         muse_causal(q, k[:, :, :16], v[:, :, :16], MuseConfig(c_q=2, c_k=2, seed=0), b=8)
+    with pytest.raises(ValueError, match="b must be an integer"):
+        muse_causal(q, k, v, MuseConfig(c_q=2, c_k=2, seed=0), b=2.0)
+    q, k, v = make_qkv(7, n=32, d=0)
+    with pytest.raises(ValueError, match="need d >= 1"):
+        muse_causal(q, k, v, MuseConfig(c_q=2, c_k=2, seed=0), b=8)
 
 
 def test_threads_bit_identical():

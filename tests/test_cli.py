@@ -162,6 +162,20 @@ def test_zero_counts_exit_2(capsys, argv, message):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("error-sweep", "--seed", "-1"), "seed must be a non-negative integer"),
+    (("gen-qkv", "--seed", "-1"), "seed must be a non-negative integer"),
+    (("gen-qkv", "--workload", "mixture", "--c-true", "0"), "need 1 <= c_true <= n"),
+])
+def test_bad_seed_or_component_count_exit_2(capsys, tmp_path, argv, message):
+    if argv[0] == "gen-qkv":
+        argv += ("--out", str(tmp_path / "w.museqkv"))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and message in err
+    assert out == "" and not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("argv", [
     ("bench", "--cap-ratio", "inf"),
     ("bench", "--cap-ratio", "nan"),

@@ -328,6 +328,12 @@ def test_cap_assign_degenerate_inputs_valid(kind, c):
     sizes = np.bincount(got, minlength=c)
     assert got.shape == (n,) and sizes.size == c
     assert sizes.max() <= cap and sizes.sum() == n
+    # the same case on a 64-token copy (identical tokens: c = 32, 63, 64), against the oracle;
+    # identical tokens take one round per centroid there too
+    x, c = x[:64], c * 64 // n
+    cap = -(-64 // c)
+    centroids = x[np.random.default_rng(42).choice(64, size=c, replace=False)]
+    assert np.array_equal(cap_assign(x, centroids, cap), naive_cap_assign(x, centroids, cap))
 
 
 @pytest.mark.parametrize("kind, c", DEGENERATE)

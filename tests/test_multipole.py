@@ -383,6 +383,11 @@ def test_muse_rejects_short_sequences():
     q, k, v = make_qkv(26, n=8, d=4)
     with pytest.raises(ValueError, match="shorter than cluster count"):
         muse_acausal(q, k, v, MuseConfig(c_q=16, c_k=4, seed=0))
+    q, k, v = make_qkv(26, n=8, d=0)
+    with pytest.raises(ValueError, match="need d >= 1"):
+        muse_acausal(q, k, v, MuseConfig(c_q=2, c_k=2, seed=0))
+    with pytest.raises(ValueError, match="need d >= 1"):
+        cluster_tokens(q, k, MuseConfig(c_q=2, c_k=2, seed=0))
 
 
 def test_config_validation():
@@ -407,6 +412,14 @@ def test_config_rejects_non_integer_counts(field):
         with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
             MuseConfig(**{field: value})
     assert getattr(MuseConfig(**{field: np.int64(4)}), field) == 4
+
+
+@pytest.mark.parametrize("seed", [None, -1, 1.5, "0"])
+def test_config_rejects_seeds_that_are_not_non_negative_integers(seed):
+    # None would draw fresh OS entropy, so two identical calls would differ
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        MuseConfig(seed=seed)
+    assert MuseConfig(seed=np.uint64(2 ** 64 - 1)).seed == 2 ** 64 - 1
 
 
 @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf, -math.inf])

@@ -25,6 +25,19 @@ def test_spec_validation():
         WorkloadSpec(dtype="f16")
 
 
+@pytest.mark.parametrize("field, value, message", [
+    *((f, v, f"{f} must be an integer") for f in ("batch", "heads", "n", "d", "c_true") for v in (2.0, "2")),
+    ("c_true", 0, "need 1 <= c_true <= n"),
+    ("c_true", -1, "need 1 <= c_true <= n"),
+    ("seed", None, "seed must be a non-negative integer"),
+    ("seed", -1, "seed must be a non-negative integer"),
+    ("seed", 1.5, "seed must be a non-negative integer"),
+])
+def test_spec_rejects_what_generate_would_trip_on(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        WorkloadSpec(**{"kind": "gaussian_mixture", "n": 8, "c_true": 2, field: value})
+
+
 def test_generate_deterministic_and_seed_sensitive():
     spec = WorkloadSpec(kind="gaussian_mixture", n=64, d=4, c_true=4, seed=7)
     a = generate(spec)
