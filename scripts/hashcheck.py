@@ -1,17 +1,24 @@
 """One SHA-256 over the outputs of a checkout on the benchmark's inputs, to
-show that a change leaves every output bitwise equal.
+show that a change leaves every output bitwise equal, and, where it does not,
+how far each output moved.
 
 For instances 0 and 1 of each workload of CHECKOUT/perfbench/run.py, at seeds
 0 and 1000003, it hashes the `cluster_tokens` labels and the outputs (y, mu) of
-`muse_acausal` (clustering in the call, and with those labels frozen) and of
-`muse_causal` (the workload's block size, or 256 for an acausal workload),
-each array with its dtype and shape. `WORKLOADS` and `instance_seed` come from
-that run.py, loaded without a change, and `muse` from CHECKOUT/src. Run it
-once per checkout and compare the digests:
+`muse_acausal` (clustering in the call, and with those labels frozen), of
+`muse_causal` (the workload's block size, or 256 for an acausal workload) and
+of the exact `attend` and `attend_causal`, each array with its dtype and
+shape. `WORKLOADS` and `instance_seed` come from that run.py, loaded without a
+change, and `muse` from CHECKOUT/src. Run it once per checkout and compare the
+digests:
 
     mkdir ../parent && git archive HEAD~1 | tar -x -C ../parent
-    python3 scripts/hashcheck.py ../parent
-    python3 scripts/hashcheck.py .
+    python3 scripts/hashcheck.py ../parent --save ../parent.npz
+    python3 scripts/hashcheck.py . --against ../parent.npz
+
+--save writes every hashed array to an .npz file. --against reads such a
+file and prints, per workload and output, "bitwise equal" or the largest
+|new - ref| / (1 + |ref|) over both seeds and instances in float32 eps (for
+labels: how many differ).
 """
 
 import os
@@ -25,14 +32,67 @@ import runpy  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
 
+import numpy as np  # noqa: E402
+
 SEEDS = (0, 1000003)
 INSTANCES = (0, 1)
 CAUSAL_BLOCK = 256  # b of muse_causal on the acausal workloads
+F32_EPS = float(np.finfo(np.float32).eps)
+
+
+def outputs(muse, wl, q, k, v, config):
+    """(name, array) pairs of one instance, in hashing order."""
+    clusters = muse.cluster_tokens(q, k, config)
+    yield "q_assign", clusters.q_assign
+    yield "k_assign", clusters.k_assign
+    results = {"muse_acausal": muse.muse_acausal(q, k, v, config),
+               "muse_acausal_frozen": muse.muse_acausal(q, k, v, config, clusters=clusters),
+               "muse_causal": muse.muse_causal(q, k, v, config, wl.block or CAUSAL_BLOCK),
+               "attend": muse.attend(q, k, v),
+               "attend_causal": muse.attend_causal(q, k, v)}
+    for name, r in results.items():
+        yield f"{name}.y", r.y
+        yield f"{name}.mu", r.mu
+
+
+def drift(new, ref):
+    """How far `new` is from `ref`: None when bitwise equal, else the largest
+    relative difference in f32 eps (floats) or a note (labels, shapes)."""
+    if new.dtype != ref.dtype or new.shape != ref.shape:
+        return f"differs in dtype or shape: {new.dtype}{new.shape} against {ref.dtype}{ref.shape}"
+    if np.array_equal(new, ref):
+        return None
+    if np.issubdtype(ref.dtype, np.integer):
+        return f"{np.count_nonzero(new != ref)} of {ref.size} differ"
+    ref64 = ref.astype(np.float64)
+    return np.max(np.abs(new.astype(np.float64) - ref64) / (1.0 + np.abs(ref64))) / F32_EPS
+
+
+def report(arrays, against):
+    """Per workload and output name, the worst drift over seeds and instances."""
+    drifts = {}
+    with np.load(against) as ref:
+        for key, a in arrays.items():
+            wl, _, _, name = key.split("/")
+            d = drift(a, ref[key]) if key in ref.files else f"missing from {against}"
+            drifts.setdefault((wl, name), []).append(d)
+    for (wl, name), ds in drifts.items():
+        notes = [d for d in ds if isinstance(d, str)]
+        eps = [d for d in ds if isinstance(d, float)]
+        if notes:
+            text = "; ".join(notes)
+        elif eps:
+            text = f"max |d|/(1+|ref|) = {max(eps):.2f} f32 eps"
+        else:
+            text = "bitwise equal"
+        print(f"{wl} {name}: {text}")
 
 
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("checkout", type=Path, help="root of the checkout to hash")
+    p.add_argument("--save", type=Path, help="write every hashed array to this .npz file")
+    p.add_argument("--against", type=Path, help="compare every hashed array with this --save file")
     args = p.parse_args(argv)
     root = args.checkout.resolve()
     bench = runpy.run_path(str(root / "perfbench" / "run.py"))
@@ -42,6 +102,7 @@ def main(argv=None):
     if Path(muse.__file__).resolve().parent != root / "src" / "muse":
         sys.exit(f"hashcheck: imported muse from {muse.__file__}, expected {root / 'src' / 'muse'}")
     digest = hashlib.sha256()
+    arrays = {}
     for wl in bench["WORKLOADS"].values():
         for seed in SEEDS:
             for i in INSTANCES:
@@ -49,15 +110,16 @@ def main(argv=None):
                 q, k, v = muse.generate(muse.WorkloadSpec(seed=s, d=16, dtype="f32", **wl.spec))
                 config = muse.MuseConfig(c_q=wl.clusters, c_k=wl.clusters, kmeans_iters=1,
                                          cap_ratio=1.5, seed=s)
-                clusters = muse.cluster_tokens(q, k, config)
-                results = (muse.muse_acausal(q, k, v, config),
-                           muse.muse_acausal(q, k, v, config, clusters=clusters),
-                           muse.muse_causal(q, k, v, config, wl.block or CAUSAL_BLOCK))
-                for a in (clusters.q_assign, clusters.k_assign, *(x for r in results for x in (r.y, r.mu))):
+                for name, a in outputs(muse, wl, q, k, v, config):
                     digest.update(f"{a.dtype}{a.shape}".encode())
                     digest.update(a.tobytes())
+                    arrays[f"{wl.name}/{seed}/{i}/{name}"] = a
                 print(f"{wl.name} seed={seed} instance={i}: {digest.hexdigest()[:16]}", file=sys.stderr)
     print(digest.hexdigest())
+    if args.save:
+        np.savez(args.save, **arrays)
+    if args.against:
+        report(arrays, args.against)
 
 
 if __name__ == "__main__":

@@ -14,11 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import check_integer, check_tensor4, shifted_exp_inplace, stable_logsumexp
+from .numerics import check_integer, check_score_max, check_tensor4, stable_logsumexp
 # perfbench/tracing.py wraps muse.attention.stable_softmax, so the name stays importable here
 from .numerics import stable_softmax  # noqa: F401
 
-TILE = 256  # query rows per kernel tile; 128 and 256 run level on the benchmark shapes, 512 slower
+# The kernel scores TILE query rows against KEY_TILE keys at a time. That
+# block, 0.5 MB in f32 and so inside a 2 MB L2, is the only score storage
+# alive, so a slice's peak is one block plus its rows and value copy. Rows:
+# 128 and 256 ran level on the benchmark shapes, 512 slower; keys: 256 and
+# 512 ran level, 1024 and 2048 slower.
+TILE = 256
+KEY_TILE = 512
 
 
 @dataclass
@@ -72,22 +78,56 @@ def _map_slices(fn, n_slices: int, threads: int):
             list(ex.map(fn, range(n_slices)))
 
 
+def _bounded_rows(qs, ks, vs, prefix):
+    """Mask of the rows whose scores need no max shift before exp.
+
+    Row i is bounded when |q_i| * max |k_j| <= L = log(finfo.max) / 4 (`qs` is
+    already scaled) and max |v_j| < sqrt(finfo.max), both maxima over the keys
+    the row can see: all keys, or the prefix j <= i when `prefix`, so a later
+    key never changes an earlier row's arithmetic. By Cauchy-Schwarz every
+    score of a bounded row lies in [-L, L], so its exps lie in [max**-1/4,
+    max**1/4]: they and their row sums can neither overflow nor go
+    subnormal, and their products with the values stay below max for any
+    n_k < max**1/4. Norms run in float64, so a large f32 input cannot
+    overflow them; it only fails the bound.
+    """
+    info = np.finfo(qs.dtype)
+    k_norm = np.sqrt(np.einsum("ij,ij->i", ks, ks, dtype=np.float64))
+    v_top = np.abs(vs).max(axis=1)
+    if prefix:
+        k_norm, v_top = np.maximum.accumulate(k_norm), np.maximum.accumulate(v_top)
+    else:
+        k_norm, v_top = k_norm.max(), v_top.max()
+    q_norm = np.sqrt(np.einsum("ij,ij->i", qs, qs, dtype=np.float64))
+    return (q_norm * k_norm <= math.log(info.max) / 4) & (v_top < math.sqrt(info.max))
+
+
 def _attend(q, k, v, bias, scale, threads, window=None) -> AttentionResult:
     """The one exact kernel behind `attend`, `attend_causal` and `attend_sliding`.
 
     Per (batch, head) slice it copies the values once into an (n_k, d + 1)
     array whose last column is ones, then walks query rows in tiles of TILE.
-    A tile computes scores only over the keys its rows can see (all keys, or
-    [lo - window + 1, up) when windowed), adds the bias in place, writes -inf
-    where key j is outside row i's window (i - window < j <= i), and replaces
-    the scores by exp(s - max) in place. One product with the extended values
-    then gives the unnormalised output and, in its last column, the row sums
-    of the exps (>= 1, since the max contributes exp(0)), so y = out[:, :d] /
-    out[:, d] and mu = max + log(out[:, d]): the score tile is touched five
-    times (product, max, subtract, exp, product), and normalising costs d
-    divisions per row, not n_k. Rows are independent, so the tiling does not
-    change any row's result beyond matmul reassociation. One score tile is
-    alive at a time, so a slice's peak is one TILE x n_k tile plus its rows.
+    A tile sees only the keys its rows can see (all keys, or [lo - window + 1,
+    up) when windowed) and takes them in chunks of KEY_TILE columns. A chunk's
+    scores get the bias added in place and -inf written where key j is outside
+    row i's window (i - window < j <= i).
+
+    A row that `_bounded_rows` proves bounded exponentiates its scores as they
+    are: per chunk, product, exp in place, and one product with the extended
+    values added into the tile's output, so each score is touched three times
+    and chunks combine by plain addition. Calls with a bias bound no row. A
+    tile holding any other row first takes the row max over its chunks, where
+    the NaN, overflow and fully-masked checks run (`check_score_max`), and then
+    subtracts shift = max from those rows' scores (0 from bounded ones, which
+    leaves them bit for bit as in a tile of bounded rows) before exp. The last
+    column of the output is then each row's sum of exps (>= 1 on shifted rows,
+    since the max contributes exp(0); >= exp(-L) on bounded ones), so y =
+    out[:, :d] / out[:, d] and mu = shift + log(out[:, d]): normalising costs d
+    divisions per row, not n_k. Rows are independent, so neither the tiling
+    nor the chunking changes a row's result beyond matmul reassociation. One
+    TILE x KEY_TILE score block is alive at a time (the max pass recomputes
+    the chunks rather than keep them), so a slice's peak is that block plus
+    its rows and the value copy.
     """
     if scale is None:
         scale = 1.0 / math.sqrt(q.shape[3])
@@ -106,26 +146,46 @@ def _attend(q, k, v, bias, scale, threads, window=None) -> AttentionResult:
         ks = k[bi, hi]
         v1 = np.ones((n_k, d + 1), dtype=q.dtype)
         v1[:, :d] = v[bi, hi]
-        bs = None if bias is None else bias[bi, hi].astype(q.dtype)
+        if bias is None:
+            bs, bounded = None, _bounded_rows(qs, ks, v[bi, hi], prefix=window is not None)
+        else:  # the norms do not bound a biased score
+            bs, bounded = bias[bi, hi].astype(q.dtype), np.zeros(n_q, dtype=bool)
+
+        def scores(lo, up, c0, c1):
+            s = qs[lo:up] @ ks[c0:c1].T
+            if bs is not None:
+                s += bs[c0:c1]
+            if window is not None:
+                # rows [lo, up) all see keys [up - window, lo], so a chunk that
+                # starts at or above up - window needs the mask from lo on only
+                m0 = c0 if c0 < up - window else max(c0, lo)
+                if m0 < c1:
+                    rows = np.arange(lo, up)[:, None]
+                    cols = np.arange(m0, c1)
+                    np.copyto(s[:, m0 - c0:], -np.inf, where=(cols > rows) | (cols <= rows - window))
+            return s
+
         for lo in range(0, n_q, TILE):
             up = min(lo + TILE, n_q)
             k0, k1 = (0, n_k) if window is None else (max(0, lo - window + 1), up)
-            s = qs[lo:up] @ ks[k0:k1].T
-            if bs is not None:
-                s += bs[k0:k1]
-            if window is not None:
-                # rows [lo, up) all see keys [up - window, lo], so the mask covers the
-                # columns from lo on, and from k0 on only if k0 < up - window
-                c0 = lo if up - window <= k0 else k0
-                rows = np.arange(lo, up)[:, None]
-                cols = np.arange(c0, k1)
-                np.copyto(s[:, c0 - k0:], -np.inf, where=(cols > rows) | (cols <= rows - window))
-            top = shifted_exp_inplace(s)
-            out = s @ v1[k0:k1]
+            chunks = [(c0, min(c0 + KEY_TILE, k1)) for c0 in range(k0, k1, KEY_TILE)]
+            shift = None
+            if not bounded[lo:up].all():
+                top = np.max([np.max(scores(lo, up, *c), axis=1) for c in chunks], axis=0)
+                check_score_max(top)
+                shift = np.where(bounded[lo:up], 0, top)
+            out = np.zeros((up - lo, d + 1), dtype=q.dtype)
+            for c0, c1 in chunks:
+                s = scores(lo, up, c0, c1)
+                if shift is not None:
+                    s -= shift[:, None]
+                np.exp(s, out=s)
+                out += s @ v1[c0:c1]
+                del s  # else the next block is allocated while this one is still held
             np.divide(out[:, :d], out[:, d:], out=y[bi, hi, lo:up])
             np.log(out[:, d], out=mu[bi, hi, lo:up])
-            mu[bi, hi, lo:up] += top[:, 0]
-            del s, out  # else the next tile is allocated while this one is still held
+            if shift is not None:
+                mu[bi, hi, lo:up] += shift
 
     _map_slices(run, b * h, threads)
     return AttentionResult(y=y, mu=mu)

@@ -93,9 +93,11 @@ def causal_plan(n: int, b: int, config: MuseConfig) -> CausalPlan:
     about 1 ms per slice, so short blocks run faster, and more accurately,
     as exact attention. Its default, 2048, had the lowest median time of
     the spans 256-4096, or was within 4% of it, at d=16 and d=64 for C from
-    16 to 64 and n of 8192 and 16384 (scripts/near_sweep.py). The cluster
-    counts keep every clustered block at least as long as the clusters
-    that run."""
+    16 to 64 and n of 8192 and 16384 (scripts/near_sweep.py). Since the
+    exact kernel skips the max shift on bounded rows, 2048 and 4096 are
+    each fastest in half of those cells and neither is within 4% in all,
+    so the default stays. The cluster counts keep every clustered block at
+    least as long as the clusters that run."""
     return build_plan(n, b, max(config.near_min, config.query_clusters, config.c_k))
 
 

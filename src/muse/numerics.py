@@ -106,21 +106,28 @@ def shifted_exp_inplace(scores: np.ndarray, axis: int = -1) -> np.ndarray:
     The max keeps `axis` (keepdims), so it broadcasts back against `scores`.
     Every slice of the result holds at least one exp(0) = 1, so any sum over
     `axis` is >= 1. -inf entries map to exactly 0. Raises on an empty
-    reduction, NaN input, a +inf score (overflow), or a fully masked (all
-    -inf) slice.
+    reduction, and through `check_score_max` on NaN input, a +inf score
+    (overflow), or a fully masked (all -inf) slice.
     """
     if scores.shape == () or scores.shape[axis] == 0:
         raise ValueError("empty reduction")
     hi = np.max(scores, axis=axis, keepdims=True)
-    if np.isnan(hi).any():  # max propagates NaN, so this sees every NaN entry
-        raise ValueError("NaN in the scores")
-    if (hi == np.inf).any():  # a +inf max means the scores overflowed, not a mask
-        raise ValueError("score overflow: +inf in the scores (input norms too large for the dtype)")
-    if not np.isfinite(hi).all():
-        raise ValueError("fully masked row")
+    check_score_max(hi)
     np.subtract(scores, hi, out=scores)
     np.exp(scores, out=scores)
     return hi
+
+
+def check_score_max(hi: np.ndarray) -> None:
+    """Raise unless every entry of `hi`, a max over scores, is finite: NaN
+    (max propagates NaN, so this sees every NaN score), +inf (the scores
+    overflowed; not a mask) and -inf (every score of the slice is masked)."""
+    if np.isnan(hi).any():
+        raise ValueError("NaN in the scores")
+    if (hi == np.inf).any():
+        raise ValueError("score overflow: +inf in the scores (input norms too large for the dtype)")
+    if not np.isfinite(hi).all():
+        raise ValueError("fully masked row")
 
 
 def softmax_logsumexp_inplace(scores: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:

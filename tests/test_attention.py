@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from muse import WorkloadSpec, attend, attend_causal, attend_sliding, generate, merge_partials
-from muse.attention import TILE, AttentionResult
+from muse.attention import KEY_TILE, TILE, AttentionResult
 
 from oracles import naive_attend, naive_attend_causal, naive_attend_slice, naive_attend_sliding, naive_merge
 
@@ -465,3 +465,128 @@ def test_exact_kernel_holds_one_score_tile():
         tracemalloc.stop()
     tile = TILE * n * 4
     assert peak < 1.5 * tile, f"peak {peak / 1e6:.2f} MB = {peak / tile:.2f} tiles"
+
+
+def test_exact_kernel_chunks_the_keys():
+    # an acausal tile scores its keys KEY_TILE columns at a time: the peak is the
+    # (n_k, d + 1) value copy plus a few TILE x KEY_TILE blocks (the score block,
+    # the scaled queries and the output are one block each here), not a
+    # TILE x n_k tile (8.4 MB)
+    n, d = 8192, 16
+    q, k, v = make_qkv(28, n=n, d=d, dtype=np.float32)
+    tracemalloc.start()
+    try:
+        attend(q, k, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block, values = TILE * KEY_TILE * 4, n * (d + 1) * 4
+    assert peak < values + 4 * block, f"peak {peak / 1e6:.2f} MB = values + {(peak - values) / block:.2f} blocks"
+
+
+def score_bound(dtype):
+    """L of the exact kernel: rows with scale * |q_i| * max |k_j| <= L skip the max shift."""
+    return np.log(np.finfo(dtype).max) / 4
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("entry", ["attend_causal", "attend_sliding"])
+@pytest.mark.parametrize("t", [TILE - 1, TILE, TILE + 1])
+def test_strict_causality_across_the_bound(t, entry, dtype):
+    # key and value t x 1e3 lift scale * |q_i| * max_{j <= i} |k_j| far above
+    # L for every row i >= t, so those rows take the shifted route; rows < t,
+    # in the same tile, must not see it
+    call = attend_causal if entry == "attend_causal" else lambda q, k, v: attend_sliding(q, k, v, window=TILE + 3)
+    q, k, v = (a.astype(dtype) for a in boundary_qkv(2 * TILE + 1))
+    base = call(q, k, v)
+    k2, v2 = k.copy(), v.copy()
+    k2[:, :, t] *= 1e3
+    v2[:, :, t] *= 1e3
+    assert 0.25 * np.linalg.norm(q[0, 0, t:], axis=1).min() * np.linalg.norm(k2[0, 0, t]) > score_bound(dtype)
+    bumped = call(q, k2, v2)
+    assert np.array_equal(base.y[:, :, :t], bumped.y[:, :, :t])
+    assert np.array_equal(base.mu[:, :, :t], bumped.mu[:, :, :t])
+    assert not np.array_equal(base.y[:, :, t], bumped.y[:, :, t])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_threads_bit_identical_with_unbounded_rows(entry, dtype):
+    q, k, v = make_qkv(29, b=2, h=3, n=TILE + 44, d=6, dtype=dtype)
+    q[:, :, ::3] *= 60  # every third row far above the bound, in every tile
+    a = ENTRY_POINTS[entry](q, k, v, threads=1)
+    b = ENTRY_POINTS[entry](q, k, v, threads=4)
+    assert np.array_equal(a.y, b.y) and np.array_equal(a.mu, b.mu)
+
+
+def mixed_qkv(n, dtype, seed=30):
+    """Inputs whose tiles mix rows on both sides of the bound, with the longest
+    keys on both sides of the first KEY_TILE edge (and at 0, so every prefix has
+    the same max |k|): scale * |q_i| * max |k_j| is 0.5 L on even rows, 1.5 L on
+    odd ones."""
+    rng = np.random.default_rng(seed)
+    q, k, v = (rng.normal(size=(n, 16)) for _ in range(3))
+    k_top = 4.0
+    k *= 0.9 * k_top / np.linalg.norm(k, axis=1).max()
+    for j in (0, KEY_TILE - 1, KEY_TILE):
+        k[j] *= k_top / np.linalg.norm(k[j])
+    ratio = np.where(np.arange(n) % 2 == 0, 0.5, 1.5) * score_bound(dtype)
+    q *= (ratio / (0.25 * k_top) / np.linalg.norm(q, axis=1))[:, None]
+    return [a[None, None].astype(dtype) for a in (q, k, v)]
+
+
+MIXED_N = KEY_TILE + TILE + 1
+MIXED_WINDOW = KEY_TILE + 7  # a tile's keys span two chunks, from an unaligned k0
+# name: (call, the window the oracle applies, whether the call gets a bias)
+MIXED_CALLS = {
+    "attend": (attend, None, False),
+    "attend_bias": (attend, None, True),
+    "attend_causal": (attend_causal, MIXED_N, False),
+    "attend_sliding": (lambda q, k, v: attend_sliding(q, k, v, window=MIXED_WINDOW), MIXED_WINDOW, False),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("call", MIXED_CALLS)
+def test_mixed_tiles_and_key_chunks_match_oracle(call, dtype):
+    q, k, v = mixed_qkv(MIXED_N, dtype)
+    fn, window, with_bias = MIXED_CALLS[call]
+    kwargs = {}
+    if with_bias:
+        rng = np.random.default_rng(MIXED_N)
+        bias = rng.normal(size=(1, 1, MIXED_N))
+        bias[rng.random(size=(1, 1, MIXED_N)) < 0.4] = -np.inf
+        bias[..., (0, KEY_TILE - 1, KEY_TILE)] = 0.0
+        kwargs["bias"] = bias
+    rows = boundary_rows(MIXED_N)
+    assert_rows_match(fn(q, k, v, **kwargs), rows, oracle_rows(q, k, v, rows, window=window, **kwargs), dtype)
+
+
+def entry_window(entry, n):
+    """The window the oracle applies for an ENTRY_POINTS call on n tokens."""
+    return {"attend": None, "attend_causal": n, "attend_sliding": 3}[entry]
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_f64_all_rows_unbounded_match_oracle(entry):
+    n = KEY_TILE + TILE + 1
+    q, k, v = (a.astype(np.float64) for a in boundary_qkv(n))
+    q, k = 30 * q, 30 * k  # scale * |q| * |k| in the thousands, against L = 177
+    rows = boundary_rows(n)
+    want = oracle_rows(q, k, v, rows, window=entry_window(entry, n))
+    assert_rows_match(ENTRY_POINTS[entry](q, k, v), rows, want, np.float64)
+
+
+@pytest.mark.parametrize("dtype, top, v_scale", [(np.float32, 20.0, 1e31), (np.float64, 170.0, 1e250)])
+def test_values_above_the_limit_take_the_shifted_route(dtype, top, v_scale):
+    # k = q and scale * |q_i| |k_j| = top < L, so the norms alone would skip the
+    # shift; exp(top) * v_scale overflows the dtype, so the values must not allow it
+    rng = np.random.default_rng(32)
+    q = rng.normal(size=(1, 1, 9, 4))
+    q *= np.sqrt(2 * top) / np.linalg.norm(q, axis=-1, keepdims=True)  # scale = 1 / sqrt(4)
+    v = v_scale * rng.normal(size=(1, 1, 9, 4))
+    q, v = q.astype(dtype), v.astype(dtype)
+    rows = list(range(9))
+    for entry in ENTRY_POINTS:
+        want = oracle_rows(q, q, v, rows, window=entry_window(entry, 9))
+        assert_rows_match(ENTRY_POINTS[entry](q, q, v), rows, want, dtype)
