@@ -7,9 +7,10 @@ For instances 0 and 1 of each workload of CHECKOUT/perfbench/run.py, at seeds
 `muse_acausal` (clustering in the call, and with those labels frozen), of
 `muse_causal` (the workload's block size, or 256 for an acausal workload) and
 of the exact `attend` and `attend_causal`, each array with its dtype and
-shape. `WORKLOADS` and `instance_seed` come from that run.py, loaded without a
-change, and `muse` from CHECKOUT/src. Run it once per checkout and compare the
-digests:
+shape. It then hashes the timing-free JSON report of `ablation_run` on the
+inputs and base config of acceptance check 05, with 5 seeds. `WORKLOADS` and
+`instance_seed` come from that run.py, loaded without a change, and `muse`
+from CHECKOUT/src. Run it once per checkout and compare the digests:
 
     mkdir ../parent && git archive HEAD~1 | tar -x -C ../parent
     python3 scripts/hashcheck.py ../parent --save ../parent.npz
@@ -18,7 +19,7 @@ digests:
 --save writes every hashed array to an .npz file. --against reads such a
 file and prints, per workload and output, "bitwise equal" or the largest
 |new - ref| / (1 + |ref|) over both seeds and instances in float32 eps (for
-labels: how many differ).
+labels and the report's bytes: how many differ).
 """
 
 import os
@@ -55,6 +56,15 @@ def outputs(muse, wl, q, k, v, config):
         yield f"{name}.mu", r.mu
 
 
+def ablation_report(muse):
+    """The timing-free `ablation_run` report of acceptance check 05, as bytes."""
+    spec = muse.WorkloadSpec(kind="gaussian_mixture", n=1024, d=16, c_true=16, spread=0.15,
+                             centroid_scale=1.2, seed=0)
+    base = muse.MuseConfig(c_q=128, c_k=128, kmeans_iters=3, cap_ratio=3.0, seed=0)
+    text = muse.ablation_run(spec, base, seeds=5).to_json(include_timing=False)
+    return np.frombuffer(text.encode(), dtype=np.uint8)
+
+
 def drift(new, ref):
     """How far `new` is from `ref`: None when bitwise equal, else the largest
     relative difference in f32 eps (floats) or a note (labels, shapes)."""
@@ -73,7 +83,7 @@ def report(arrays, against):
     drifts = {}
     with np.load(against) as ref:
         for key, a in arrays.items():
-            wl, _, _, name = key.split("/")
+            wl, *_, name = key.split("/")
             d = drift(a, ref[key]) if key in ref.files else f"missing from {against}"
             drifts.setdefault((wl, name), []).append(d)
     for (wl, name), ds in drifts.items():
@@ -115,6 +125,11 @@ def main(argv=None):
                     digest.update(a.tobytes())
                     arrays[f"{wl.name}/{seed}/{i}/{name}"] = a
                 print(f"{wl.name} seed={seed} instance={i}: {digest.hexdigest()[:16]}", file=sys.stderr)
+    report_bytes = ablation_report(muse)
+    digest.update(f"ablation_run{report_bytes.shape}".encode())
+    digest.update(report_bytes.tobytes())
+    arrays["ablation_run/report.json"] = report_bytes
+    print(f"ablation_run: {digest.hexdigest()[:16]}", file=sys.stderr)
     print(digest.hexdigest())
     if args.save:
         np.savez(args.save, **arrays)

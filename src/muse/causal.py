@@ -86,8 +86,8 @@ def build_plan(n: int, b: int, min_span: int = 1) -> CausalPlan:
 
 def causal_plan(n: int, b: int, config: MuseConfig) -> CausalPlan:
     """The plan `muse_causal` runs: a level is clustered only when its span
-    reaches max(config.near_min, config.query_clusters, c_k); shorter levels
-    join the exact near field, whose blocks are never shorter than b.
+    reaches max(config.near_min, c_q, c_k); shorter levels join the exact
+    near field, whose blocks are never shorter than b.
 
     near_min is the cost crossover: a clustered call has a fixed cost of
     about 1 ms per slice, so short blocks run faster, and more accurately,
@@ -97,8 +97,8 @@ def causal_plan(n: int, b: int, config: MuseConfig) -> CausalPlan:
     exact kernel skips the max shift on bounded rows, 2048 and 4096 are
     each fastest in half of those cells and neither is within 4% in all,
     so the default stays. The cluster counts keep every clustered block at
-    least as long as the clusters that run."""
-    return build_plan(n, b, max(config.near_min, config.query_clusters, config.c_k))
+    least as long as c_q and c_k."""
+    return build_plan(n, b, max(config.near_min, config.c_q, config.c_k))
 
 
 def muse_causal(q, k, v, config: MuseConfig, b: int, threads: int = 1, block_fn=None):

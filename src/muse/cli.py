@@ -3,7 +3,7 @@
 Subcommands:
   selftest      exactness corners and merge invariance, exit 0 iff all pass
   error-sweep   approximation error over a cluster-count/iteration/cap grid
-  ablate        the four ablation modes on identical data
+  ablate        the full method and three ablations on identical data
   bench         fixed-token-budget scaling comparison, exact vs clustered
   causal-bench  hierarchical causal approximation vs exact causal attention
   gen-qkv       write a synthetic workload to the binary tensor format
@@ -26,7 +26,7 @@ from .experiments import (
     scaling_bench,
     selftest,
 )
-from .multipole import ABLATIONS, MuseConfig
+from .multipole import MuseConfig
 from .workloads import WorkloadSpec, generate, save_qkv
 
 _KIND = {"isotropic": "isotropic_gaussian", "mixture": "gaussian_mixture", "file": "file"}
@@ -38,10 +38,6 @@ def _int_list(text: str) -> list[int]:
 
 def _float_list(text: str) -> list[float]:
     return [float(t) for t in text.split(",") if t]
-
-
-def _flatten(groups) -> list:
-    return [x for g in groups for x in g]
 
 
 def _add_workload_args(p, n=1024, d=16, batch=1, heads=1):
@@ -60,21 +56,17 @@ def _add_workload_args(p, n=1024, d=16, batch=1, heads=1):
 
 
 def _add_muse_args(p, grid=True):
-    if grid:
-        # comma- or space-separated lists; the grid is their cartesian product
-        p.add_argument("--clusters", type=_int_list, nargs="+", default=[[64]],
-                       help="cluster count(s), applied to queries and keys (default 64)")
-        p.add_argument("--iters", type=_int_list, nargs="+", default=[[1]],
-                       help="refinement iteration count(s) (default 1)")
-        p.add_argument("--cap-ratio", type=_float_list, nargs="+", default=[[1.5]],
-                       help="cluster size cap as a multiple of the even share (default 1.5)")
-    else:
-        p.add_argument("--clusters", type=int, default=64,
-                       help="cluster count, applied to queries and keys (default 64)")
-        p.add_argument("--iters", type=int, default=1,
-                       help="refinement iteration count (default 1)")
-        p.add_argument("--cap-ratio", type=float, default=1.5,
-                       help="cluster size cap as a multiple of the even share (default 1.5)")
+    # a grid command takes comma- or space-separated lists, and its grid is their
+    # cartesian product; the other commands take one value per flag
+    for flag, one, many, default, text in (
+            ("--clusters", int, _int_list, 64, "cluster count{}, applied to queries and keys"),
+            ("--iters", int, _int_list, 1, "refinement iteration count{}"),
+            ("--cap-ratio", float, _float_list, 1.5, "cluster size cap as a multiple of the even share")):
+        text = f"{text.format('(s)' if grid else '')} (default {default})"
+        if grid:
+            p.add_argument(flag, type=many, nargs="+", default=[[default]], help=text)
+        else:
+            p.add_argument(flag, type=one, default=default, help=text)
     p.add_argument("--scale", type=float, default=None,
                    help="score scale, default 1/sqrt(d)")
 
@@ -97,10 +89,9 @@ def _workload_from_args(args) -> WorkloadSpec:
 def _configs_from_args(args) -> list[MuseConfig]:
     """One MuseConfig per point of the --clusters x --iters x --cap-ratio
     grid; the single-value commands parse plain numbers, one point."""
-    axes = [_flatten(a) if isinstance(a, list) else [a]
+    axes = [[x for group in a for x in group] if isinstance(a, list) else [a]
             for a in (args.clusters, args.iters, args.cap_ratio)]
-    return [MuseConfig(c_q=c, c_k=c, kmeans_iters=it, cap_ratio=cap, scale=args.scale,
-                       ablation=getattr(args, "ablation", "full"), seed=args.seed)
+    return [MuseConfig(c_q=c, c_k=c, kmeans_iters=it, cap_ratio=cap, scale=args.scale, seed=args.seed)
             for c, it, cap in itertools.product(*axes)]
 
 
@@ -182,8 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate", help="compare ablation modes")
     _add_workload_args(p)
     _add_muse_args(p, grid=False)
-    p.add_argument("--ablation", choices=ABLATIONS, default="full",
-                   help="base mode recorded in the report config")
     p.add_argument("--seeds", type=int, default=5)
     _add_common_args(p)
     p.set_defaults(fn=_cmd_ablate)

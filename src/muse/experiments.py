@@ -17,12 +17,13 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import pairwise
 
 import numpy as np
 
 from .attention import AttentionResult, attend, attend_causal, merge_partials
 from .causal import causal_plan, muse_causal
-from .multipole import ABLATIONS, MuseConfig, cluster_tokens, muse_acausal, rel_sq_error
+from .multipole import MuseConfig, cluster_tokens, muse_acausal, rel_sq_error
 from .numerics import derive_seed
 from .workloads import WorkloadSpec, generate
 
@@ -143,7 +144,13 @@ def error_sweep(spec: WorkloadSpec, grid: list[MuseConfig], seeds: int = 5,
     if not grid:
         raise ValueError("empty config grid")
     report = ExperimentReport(kind="error_sweep", config={"workload": asdict(spec), "seeds": seeds})
-    ref_hashes = _acausal_runs(report, spec, [(f"C={c.c_k}", c) for c in grid], seeds, threads)
+    # a row's label is C=c_k, then c_q if any config's c_q is not its c_k, then
+    # each other field that differs across the grid; aggregates add iters and cap
+    named = ["c_q"] * any(c.c_q != c.c_k for c in grid) + [
+        f.name for f in fields(MuseConfig) if f.name not in ("c_q", "c_k", "kmeans_iters", "cap_ratio")
+        and len({getattr(c, f.name) for c in grid}) > 1]
+    labels = [" ".join([f"C={c.c_k}", *(f"{n}={getattr(c, n)}" for n in named)]) for c in grid]
+    ref_hashes = _acausal_runs(report, spec, list(zip(labels, grid)), seeds, threads)
     by_point = {}
     for r in report.rows:
         by_point.setdefault(f"{r.label} iters={r.iters} cap={r.cap_ratio}", []).append(r.rel_sq_error)
@@ -154,15 +161,19 @@ def error_sweep(spec: WorkloadSpec, grid: list[MuseConfig], seeds: int = 5,
 
 def ablation_run(spec: WorkloadSpec, base: MuseConfig, seeds: int = 5,
                  threads: int = 1) -> ExperimentReport:
-    """Run all four ablation modes on identical data and report per-seed
-    errors plus pairwise ordering verdicts in `ABLATIONS` order."""
+    """Run `base` as full, no_dipole, single_query_cluster (c_q=1, key-only
+    clustering) and no_monopole on identical data; report per-seed errors and
+    the ordering verdict of each neighbouring pair in that order."""
     report = ExperimentReport(kind="ablation", config={
         "workload": asdict(spec), "base": asdict(base), "seeds": seeds,
     })
-    _acausal_runs(report, spec, [(m, replace(base, ablation=m)) for m in ABLATIONS], seeds, threads)
-    per_mode = {m: [r.rel_sq_error for r in report.rows if r.label == m] for m in ABLATIONS}
+    runs = {"full": replace(base, ablation="full"), "no_dipole": replace(base, ablation="no_dipole"),
+            "single_query_cluster": replace(base, ablation="full", c_q=1),
+            "no_monopole": replace(base, ablation="no_monopole")}
+    _acausal_runs(report, spec, list(runs.items()), seeds, threads)
+    per_mode = {m: [r.rel_sq_error for r in report.rows if r.label == m] for m in runs}
     verdicts = {f"{a}<{b}": all(x < y for x, y in zip(per_mode[a], per_mode[b]))
-                for a, b in zip(ABLATIONS, ABLATIONS[1:])}
+                for a, b in pairwise(runs)}
     report.aggregates = {m: _mean_std(v) for m, v in per_mode.items()}
     report.metadata = {"ordering_verdicts": verdicts}
     return report.validate()

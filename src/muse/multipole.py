@@ -24,7 +24,7 @@ from .numerics import (check_integer, check_seed, derive_seed, make_rng, softmax
 # perfbench/tracing.py wraps muse.multipole.stable_logsumexp, so the name stays importable here
 from .numerics import stable_logsumexp  # noqa: F401
 
-ABLATIONS = ("full", "no_dipole", "single_query_cluster", "no_monopole")
+ABLATIONS = ("full", "no_dipole", "no_monopole")
 
 
 @dataclass
@@ -33,8 +33,8 @@ class MuseConfig:
 
     scale=None resolves to 1/sqrt(d) at call time. The ablation switch keeps
     everything else fixed: no_dipole drops the covariance correction,
-    single_query_cluster forces c_q=1, no_monopole replaces the weighted
-    summary combination with a global value mean plus the dipole term alone.
+    no_monopole replaces the weighted summary combination with a global value
+    mean plus the dipole term alone; c_q=1 is key-only clustering.
     near_min is read by the causal plan only: levels of `muse_causal` that
     span fewer rows run exact (see `causal_plan`).
     """
@@ -67,11 +67,6 @@ class MuseConfig:
 
     def resolve_scale(self, d: int) -> float:
         return self.scale if self.scale is not None else 1.0 / math.sqrt(d)
-
-    @property
-    def query_clusters(self) -> int:
-        """The query-cluster count that runs: c_q, or 1 under single_query_cluster."""
-        return 1 if self.ablation == "single_query_cluster" else self.c_q
 
 
 @dataclass
@@ -111,11 +106,13 @@ def stage1(qbar: np.ndarray, key_clusters: list, value_clusters: list) -> Cluste
     """
     if len(key_clusters) != len(value_clusters) or not key_clusters:
         raise ValueError("key/value cluster lists must be non-empty and aligned")
-    for kc in key_clusters:
-        if kc.shape[0] == 0:
-            raise ValueError("empty key cluster")
     kpad, mask, sizes = _padded(key_clusters)
-    vpad, _, _ = _padded(value_clusters)
+    vpad, _, value_sizes = _padded(value_clusters)
+    if not sizes.all():
+        raise ValueError("empty key cluster")
+    if (value_sizes != sizes).any():
+        j = np.argmax(value_sizes != sizes)
+        raise ValueError(f"value cluster {j} has {value_sizes[j]} rows, its key cluster {sizes[j]}")
     c_k, u_max, d = kpad.shape
     # scores laid out (c_k, U, c_q) from one GEMM: the softmax reduces over U with
     # every step vectorised along c_q, where reducing the short last axis of a
@@ -172,7 +169,7 @@ def final_stage(
     s += summaries.mu[:, None, :]
     p, mu_rows = softmax_logsumexp_inplace(s)
     y = np.matmul(p, summaries.vbar)
-    if ablation in ("full", "single_query_cluster"):
+    if ablation == "full":
         y += np.matmul(rpad, dipoles.transpose(0, 2, 1))
     elif ablation == "no_monopole":
         if value_mean is None:
@@ -194,7 +191,7 @@ class MuseClusters:
 def _check_clusters(clusters: MuseClusters, b: int, h: int, n_q: int, n_k: int, config: MuseConfig):
     """Reject frozen assignments that do not label every token of every slice
     with a cluster id in range."""
-    for name, labels, n, c in (("q_assign", clusters.q_assign, n_q, config.query_clusters),
+    for name, labels, n, c in (("q_assign", clusters.q_assign, n_q, config.c_q),
                                ("k_assign", clusters.k_assign, n_k, config.c_k)):
         labels = np.asarray(labels)
         if labels.shape != (b, h, n):
@@ -210,11 +207,10 @@ def _cluster_slice(qs, ks, config: MuseConfig, bi: int, hi: int,
                    clusters: MuseClusters | None = None) -> tuple[Clustering, Clustering]:
     """Query and key clusterings of one (batch, head) slice: capped k-means with
     per-slice seeds, or the frozen labels of `clusters` with fresh centroids."""
-    c_q = config.query_clusters
     if clusters is not None:
-        return (clustering_from_assignments(qs, clusters.q_assign[bi, hi], c_q),
+        return (clustering_from_assignments(qs, clusters.q_assign[bi, hi], config.c_q),
                 clustering_from_assignments(ks, clusters.k_assign[bi, hi], config.c_k))
-    return (kmeans(qs, c_q, config.kmeans_iters, config.cap_ratio,
+    return (kmeans(qs, config.c_q, config.kmeans_iters, config.cap_ratio,
                    make_rng(derive_seed(config.seed, bi, hi, 0))),
             kmeans(ks, config.c_k, config.kmeans_iters, config.cap_ratio,
                    make_rng(derive_seed(config.seed, bi, hi, 1))))
@@ -258,7 +254,7 @@ def muse_acausal(q, k, v, config: MuseConfig, threads: int = 1,
     q, k, v, _ = _check_qkv(q, k, v, None)
     b, h, n_q, d = q.shape
     n_k = k.shape[2]
-    if config.query_clusters > n_q or config.c_k > n_k:
+    if config.c_q > n_q or config.c_k > n_k:
         raise ValueError("sequence shorter than cluster count")
     if clusters is not None:
         _check_clusters(clusters, b, h, n_q, n_k, config)

@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -148,18 +147,6 @@ def test_near_min_sizes_the_near_field():
     out = muse_causal(q, k, v, MuseConfig(c_q=8, c_k=8, seed=0), b=64)
     ref = attend_causal(q, k, v)
     assert np.array_equal(out.y, ref.y) and np.array_equal(out.mu, ref.mu)
-
-
-def test_single_query_cluster_plan_ignores_the_unused_c_q():
-    # the ablation runs one query cluster, so c_q must not shrink the clustered far field
-    one = MuseConfig(c_q=1, c_k=8, ablation="single_query_cluster", near_min=1)
-    big = MuseConfig(c_q=512, c_k=8, ablation="single_query_cluster", near_min=1)
-    assert causal_plan(4096, 64, big).near == causal_plan(4096, 64, one).near == 64
-    assert causal_plan(1024, 64, big).muse_query_rows > 0
-    q, k, v = make_qkv(8, n=1024)
-    a = muse_causal(q, k, v, replace(big, c_q=256, seed=0), b=64)
-    b = muse_causal(q, k, v, replace(one, seed=0), b=64)
-    assert np.array_equal(a.y, b.y) and np.array_equal(a.mu, b.mu)
 
 
 def test_causal_peak_memory_holds_one_running_result():

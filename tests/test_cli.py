@@ -210,7 +210,7 @@ def test_help_lists_every_documented_flag():
                  "--scale", "--seeds", "--seed", "--dtype", "--threads",
                  "--out", "--format"):
         assert flag in helps["error-sweep"], flag
-    assert "--ablation" in helps["ablate"]
+    assert "--ablation" not in helps["ablate"]
     assert "--block" in helps["causal-bench"]
     assert "--budget" in helps["bench"]
     assert "--out" in helps["gen-qkv"]

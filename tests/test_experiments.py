@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -59,6 +60,29 @@ def test_error_sweep_error_decreases_with_clusters():
 def test_error_sweep_rejects_empty_grid():
     with pytest.raises(ValueError, match="empty config grid"):
         error_sweep(SMALL_MIX, [], seeds=1)
+
+
+def test_error_sweep_keeps_distinct_configs_apart():
+    # c_q and the ablation tell these configs apart, so each gets its own label and aggregate
+    spec = WorkloadSpec(kind="gaussian_mixture", n=256, d=8, c_true=16, spread=0.2)
+    grid = [MuseConfig(c_q=4, c_k=16), MuseConfig(c_q=16, c_k=16),
+            MuseConfig(c_q=16, c_k=16, ablation="no_dipole")]
+    report = error_sweep(spec, grid, seeds=2)
+    labels = ["C=16 c_q=4 ablation=full", "C=16 c_q=16 ablation=full", "C=16 c_q=16 ablation=no_dipole"]
+    assert [r.label for r in report.rows] == labels * 2
+    assert list(report.aggregates) == [f"{label} iters=1 cap=1.5" for label in labels]
+    # a field that is the same across the grid stays out of the label
+    same = error_sweep(spec, [MuseConfig(c_q=1, c_k=16, ablation="no_dipole")], seeds=1)
+    assert [r.label for r in same.rows] == ["C=16 c_q=1"]
+
+
+def test_single_query_cluster_run_is_c_q_one():
+    base = MuseConfig(c_q=16, c_k=16, seed=0)
+    ablation = ablation_run(SMALL_MIX, base, seeds=2)
+    sweep = error_sweep(SMALL_MIX, [replace(base, c_q=1)], seeds=2)
+    assert ([r.rel_sq_error for r in ablation.rows if r.label == "single_query_cluster"]
+            == [r.rel_sq_error for r in sweep.rows])
+    assert all(r.c == 16 for r in ablation.rows)
 
 
 def test_error_sweep_rejects_grid_with_different_scales():

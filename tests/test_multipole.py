@@ -76,6 +76,17 @@ def test_stage1_empty_cluster_rejected():
         stage1(rng.normal(size=(1, 3)), [np.zeros((0, 3))], [np.zeros((0, 3))])
 
 
+def test_stage1_rejects_values_that_do_not_line_up_with_their_keys():
+    # equal totals, so only the per-cluster row counts tell the lists apart
+    rng = np.random.default_rng(4)
+    keys = [rng.normal(size=(3, 4)), rng.normal(size=(2, 4))]
+    vals = [rng.normal(size=(2, 4)), rng.normal(size=(3, 4))]
+    with pytest.raises(ValueError, match="value cluster 0 has 2 rows, its key cluster 3"):
+        stage1(rng.normal(size=(2, 4)), keys, vals)
+    with pytest.raises(ValueError, match="value cluster 1 has 4 rows, its key cluster 2"):
+        stage1(rng.normal(size=(2, 4)), keys, [vals[1], rng.normal(size=(4, 4))])
+
+
 def test_stage1_peak_memory_holds_one_score_layout():
     # c_q = c_k = 64, U_max = 24, d = 16, f32: stage 1 peaked at 1.135 MB before its
     # scores moved to a (c_k, U, c_q) layout; a copy of the (64, 24, 64) probabilities
@@ -135,10 +146,11 @@ def test_final_stage_requires_value_mean_for_no_monopole():
         final_stage([np.zeros((1, d))], summaries, dipoles, "bogus")
 
 
-@pytest.mark.parametrize("ablation", ABLATIONS)
-def test_muse_matches_naive_restatement(ablation):
+@pytest.mark.parametrize("run", [*ABLATIONS, "single_query_cluster"])
+def test_muse_matches_naive_restatement(run):
+    # single_query_cluster, the key-only comparison of ablation_run, is full with c_q=1
+    ablation, c_q = ("full", 1) if run == "single_query_cluster" else (run, 5)
     q, k, v = make_qkv(7, n=40, d=6)
-    c_q = 1 if ablation == "single_query_cluster" else 5
     clusters = fixed_clusters(8, 40, c_q, 7)
     cfg = MuseConfig(c_q=c_q, c_k=7, ablation=ablation, seed=0)
     out = muse_acausal(q, k, v, cfg, clusters=clusters)
@@ -260,14 +272,6 @@ def test_ablation_difference_is_exactly_the_dipole_term():
     assert np.array_equal(full.mu, bare.mu)
     gap = np.abs(full.y - bare.y).max()
     assert gap > 1e-6, "dipole term should be non-trivial on random data"
-
-
-def test_single_query_cluster_forces_one_cluster():
-    q, k, v = make_qkv(19, n=30, d=4)
-    cfg = MuseConfig(c_q=8, c_k=6, ablation="single_query_cluster", seed=0)
-    clusters = cluster_tokens(q, k, cfg)
-    assert set(np.unique(clusters.q_assign)) == {0}
-    assert len(np.unique(clusters.k_assign)) == 6
 
 
 def test_no_monopole_output_formula():
@@ -400,8 +404,9 @@ def test_config_validation():
         MuseConfig(kmeans_iters=0)
     with pytest.raises(ValueError, match="near_min must be >= 1"):
         MuseConfig(near_min=0)
-    with pytest.raises(ValueError):
-        MuseConfig(ablation="nope")
+    for ablation in ("nope", "single_query_cluster"):
+        with pytest.raises(ValueError, match=r"expected one of \('full', 'no_dipole', 'no_monopole'\)"):
+            MuseConfig(ablation=ablation)
     assert MuseConfig().resolve_scale(16) == pytest.approx(0.25)
     assert MuseConfig(scale=0.5).resolve_scale(16) == 0.5
 
