@@ -51,12 +51,6 @@ class Clustering:
         return [rows[a:b] for a, b in pairwise(self.offsets.tolist())]
 
 
-@dataclass
-class ResidualDecomposition:
-    centroid_part: np.ndarray  # (n, d): assigned centroid per token
-    residual: np.ndarray  # (n, d): token minus assigned centroid
-
-
 def _layout(assign: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
     """(order, offsets) of labels in [0, c): a stable sort by cluster, so ids
     ascend within each cluster, and the c + 1 segment boundaries."""
@@ -241,14 +235,13 @@ def kmeans(
     return clustering_from_assignments(x, assign, c)
 
 
-def decompose(x: np.ndarray, clustering: Clustering) -> ResidualDecomposition:
-    """Split tokens into assigned-centroid part plus residual.
+def decompose(x: np.ndarray, clustering: Clustering) -> np.ndarray:
+    """(n, d) residuals: each token minus its assigned centroid.
 
-    The sum reconstructs the input to within one ulp per entry; it is exact
-    wherever the subtraction x - centroid incurred no rounding.
+    Adding the assigned centroid back reconstructs the input to within one
+    ulp per entry; it is exact wherever the subtraction incurred no rounding.
     """
-    part = clustering.centroids[clustering.assignments]
-    return ResidualDecomposition(centroid_part=part, residual=x - part)
+    return x - clustering.centroids[clustering.assignments]
 
 
 def inertia(x: np.ndarray, clustering: Clustering) -> float:

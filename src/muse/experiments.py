@@ -164,10 +164,11 @@ def ablation_run(spec: WorkloadSpec, base: MuseConfig, seeds: int = 5,
     """Run `base` as full, no_dipole, single_query_cluster (c_q=1, key-only
     clustering) and no_monopole on identical data; report per-seed errors and
     the ordering verdict of each neighbouring pair in that order."""
+    full = replace(base, ablation="full")
     report = ExperimentReport(kind="ablation", config={
-        "workload": asdict(spec), "base": asdict(base), "seeds": seeds,
+        "workload": asdict(spec), "base": asdict(full), "seeds": seeds,
     })
-    runs = {"full": replace(base, ablation="full"), "no_dipole": replace(base, ablation="no_dipole"),
+    runs = {"full": full, "no_dipole": replace(base, ablation="no_dipole"),
             "single_query_cluster": replace(base, ablation="full", c_q=1),
             "no_monopole": replace(base, ablation="no_monopole")}
     _acausal_runs(report, spec, list(runs.items()), seeds, threads)

@@ -1,9 +1,10 @@
 """Clustered monopole+dipole approximation of acausal softmax attention.
 
 Pipeline per (batch, head) slice: cluster scaled queries and raw keys, build
-tilted per-(query-cluster, key-cluster) key/value centroids and logsumexps,
-aggregate the per-key-cluster value-key covariances into one dipole matrix
-per query cluster, then refine each residual query against the summaries.
+tilted per-(query-cluster, key-cluster) key/value centroids and logsumexps
+from each key cluster's (U_j, 2d) rows of keys and their values, aggregate
+the per-key-cluster value-key covariances into one dipole matrix per query
+cluster, then refine each residual query against the summaries.
 
 The summaries are exact per-cluster attention results for the query
 centroids, so the whole construction inherits the merge identity: with one
@@ -96,43 +97,42 @@ def _padded(groups: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return out, mask, sizes
 
 
-def stage1(qbar: np.ndarray, key_clusters: list, value_clusters: list) -> ClusterSummaries:
+def stage1(qbar: np.ndarray, key_clusters: list) -> ClusterSummaries:
     """Tilted summaries: for each (i, j) pair, attend from query centroid i to
     the full contents of key cluster j, recording the logsumexp, the tilted
     key centroid, and the tilted value centroid. Covariances are computed once
     per key cluster with uniform 1/U_j weights (no tilt).
 
-    qbar rows are already in scaled score units; padded slots carry -inf.
+    Each block of `key_clusters` is one key cluster's (U_j, 2d) rows: the key
+    in the first d columns, its value in the last d, so one tilted product
+    gives both centroids. qbar rows are already in scaled score units; padded
+    slots carry -inf.
     """
-    if len(key_clusters) != len(value_clusters) or not key_clusters:
-        raise ValueError("key/value cluster lists must be non-empty and aligned")
-    kpad, mask, sizes = _padded(key_clusters)
-    vpad, _, value_sizes = _padded(value_clusters)
+    d = qbar.shape[1]
+    widths = sorted({kv.shape[-1] for kv in key_clusters})
+    if widths != [2 * d]:
+        raise ValueError(f"key/value blocks must be 2 * d = {2 * d} wide for {d}-wide query "
+                         f"centroids, got widths {widths}")
+    kvpad, mask, sizes = _padded(key_clusters)
     if not sizes.all():
         raise ValueError("empty key cluster")
-    if (value_sizes != sizes).any():
-        j = np.argmax(value_sizes != sizes)
-        raise ValueError(f"value cluster {j} has {value_sizes[j]} rows, its key cluster {sizes[j]}")
-    c_k, u_max, d = kpad.shape
+    c_k, u_max, _ = kvpad.shape
     # scores laid out (c_k, U, c_q) from one GEMM: the softmax reduces over U with
     # every step vectorised along c_q, where reducing the short last axis of a
     # (c_k, c_q, U) layout costs several times more. Each p[j].T is a
     # column-major matrix that BLAS takes as it lies, so numpy makes no copy of
-    # p, and kbar/vbar come out as (c_k, c_q, d) for final_stage's products.
-    s = (kpad.reshape(-1, d) @ qbar.T).reshape(c_k, u_max, -1)
+    # p, and kbar/vbar come out of one (c_k, c_q, 2d) product for final_stage.
+    s = (kvpad.reshape(-1, 2 * d)[:, :d] @ qbar.T).reshape(c_k, u_max, -1)
     np.copyto(s, -np.inf, where=~mask[:, :, None])
     p, mu = softmax_logsumexp_inplace(s, axis=1)
-    kbar = np.matmul(p.transpose(0, 2, 1), kpad).transpose(1, 0, 2)
-    vbar = np.matmul(p.transpose(0, 2, 1), vpad).transpose(1, 0, 2)
+    kvbar = np.matmul(p.transpose(0, 2, 1), kvpad).transpose(1, 0, 2)
     del s, p  # free the scores before the covariance temporaries
-    counts = sizes[:, None, None].astype(kpad.dtype)
+    counts = sizes[:, None, None].astype(kvpad.dtype)
     # deviations from the plain member means, zeroed again in the padded slots
-    dk = kpad - kpad.sum(axis=1, keepdims=True) / counts
-    dv = vpad - vpad.sum(axis=1, keepdims=True) / counts
-    dk[~mask] = 0
-    dv[~mask] = 0
-    cov_vk = np.matmul(dv.transpose(0, 2, 1), dk) / counts
-    return ClusterSummaries(kbar=kbar, vbar=vbar, mu=mu.T, cov_vk=cov_vk)
+    dkv = kvpad - kvpad.sum(axis=1, keepdims=True) / counts
+    dkv[~mask] = 0
+    cov_vk = np.matmul(dkv[:, :, d:].transpose(0, 2, 1), dkv[:, :, :d]) / counts
+    return ClusterSummaries(kbar=kvbar[:, :, :d], vbar=kvbar[:, :, d:], mu=mu.T, cov_vk=cov_vk)
 
 
 def aggregate_dipoles(summaries: ClusterSummaries) -> np.ndarray:
@@ -266,9 +266,9 @@ def muse_acausal(q, k, v, config: MuseConfig, threads: int = 1,
         bi, hi = divmod(i, h)
         qs = q[bi, hi] * np.asarray(scale, dtype=q.dtype)
         qc, kc = _cluster_slice(qs, k[bi, hi], config, bi, hi, clusters)
-        summaries = stage1(qc.centroids, kc.groups(k[bi, hi]), kc.groups(v[bi, hi]))
+        summaries = stage1(qc.centroids, kc.groups(np.concatenate((k[bi, hi], v[bi, hi]), axis=1)))
         dipoles = aggregate_dipoles(summaries)
-        residuals = qc.groups(decompose(qs, qc).residual)
+        residuals = qc.groups(decompose(qs, qc))
         vmean = v[bi, hi].mean(axis=0) if config.ablation == "no_monopole" else None
         y[bi, hi, qc.order], mu[bi, hi, qc.order] = final_stage(residuals, summaries, dipoles,
                                                                 config.ablation, vmean)

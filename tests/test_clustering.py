@@ -365,27 +365,30 @@ def test_decompose_reconstruction_within_one_ulp():
     rng = np.random.default_rng(13)
     x = rng.normal(size=(25, 4))
     cl = kmeans(x, 3, 2, 1.5, make_rng(5))
-    dec = decompose(x, cl)
-    err = np.abs(dec.centroid_part + dec.residual - x)
-    assert (err <= np.spacing(np.abs(x) + np.abs(dec.centroid_part))).all()
-    assert (dec.centroid_part + dec.residual == x).mean() > 0.5
+    residual = decompose(x, cl)
+    part = cl.centroids[cl.assignments]
+    err = np.abs(part + residual - x)
+    assert (err <= np.spacing(np.abs(x) + np.abs(part))).all()
+    assert (part + residual == x).mean() > 0.5
 
 
 def test_decompose_zero_residual_on_replicated_centroids():
     base = np.array([[1.0, 2.0], [5.0, -1.0]])
     x = np.repeat(base, 6, axis=0)
     cl = kmeans(x, 2, 2, 1.5, make_rng(6))
-    dec = decompose(x, cl)
-    np.testing.assert_allclose(dec.residual, 0.0, atol=1e-12)
+    residual = decompose(x, cl)
+    assert residual.shape == x.shape
+    np.testing.assert_allclose(x - residual, cl.centroids[cl.assignments], atol=1e-12)
+    np.testing.assert_allclose(residual, 0.0, atol=1e-12)
 
 
 def test_decompose_residuals_sum_to_zero_per_cluster():
     rng = np.random.default_rng(14)
     x = rng.normal(size=(40, 3))
     cl = kmeans(x, 5, 2, 1.5, make_rng(7))
-    dec = decompose(x, cl)
+    residual = decompose(x, cl)
     for members in np.split(cl.order, cl.offsets[1:-1]):
-        np.testing.assert_allclose(dec.residual[members].sum(axis=0), 0.0, atol=1e-10)
+        np.testing.assert_allclose(residual[members].sum(axis=0), 0.0, atol=1e-10)
 
 
 def test_inertia_definitions():

@@ -120,6 +120,14 @@ def test_ablation_run_structure():
     assert set(report.aggregates) == modes
 
 
+def test_ablation_run_reports_the_base_its_full_row_ran():
+    # no run reads base.ablation, so the report must not depend on it
+    reports = [ablation_run(SMALL_MIX, MuseConfig(c_q=8, c_k=8, ablation=a, seed=0), seeds=1)
+               for a in ("no_monopole", "full")]
+    assert reports[0].config["base"]["ablation"] == "full"
+    assert reports[0].to_json(include_timing=False) == reports[1].to_json(include_timing=False)
+
+
 def test_scaling_bench_rows_and_ratios():
     spec = WorkloadSpec(kind="isotropic_gaussian", heads=1, d=8, dtype="f32", seed=0)
     report = scaling_bench(spec, [64, 128], token_budget=1024,

@@ -30,13 +30,18 @@ def fixed_clusters(seed, n, c_q, c_k, b=1, h=1):
     return MuseClusters(q_assign=qa, k_assign=ka)
 
 
+def joint(keys, vals):
+    """stage1's input: one (U_j, 2d) block per key cluster, keys then values."""
+    return [np.concatenate((kc, vc), axis=1) for kc, vc in zip(keys, vals, strict=True)]
+
+
 def test_stage1_two_point_closed_form():
     rng = np.random.default_rng(0)
     d = 4
     qbar = rng.normal(size=(1, d))
     k1, k2 = rng.normal(size=d), rng.normal(size=d)
     v1, v2 = rng.normal(size=d), rng.normal(size=d)
-    out = stage1(qbar, [np.stack([k1, k2])], [np.stack([v1, v2])])
+    out = stage1(qbar, joint([np.stack([k1, k2])], [np.stack([v1, v2])]))
     kbar, vbar, mu = two_point_summary(qbar[0], k1, k2, v1, v2)
     np.testing.assert_allclose(out.kbar[0, 0], kbar, atol=1e-12)
     np.testing.assert_allclose(out.vbar[0, 0], vbar, atol=1e-12)
@@ -49,7 +54,7 @@ def test_stage1_singleton_clusters_passthrough():
     qbar = rng.normal(size=(3, d))
     keys = [rng.normal(size=(1, d)) for _ in range(4)]
     vals = [rng.normal(size=(1, d)) for _ in range(4)]
-    out = stage1(qbar, keys, vals)
+    out = stage1(qbar, joint(keys, vals))
     for j in range(4):
         for i in range(3):
             np.testing.assert_allclose(out.kbar[i, j], keys[j][0], atol=1e-15)
@@ -63,7 +68,7 @@ def test_stage1_covariance_matches_loops():
     d = 4
     kc = rng.normal(size=(7, d))
     vc = rng.normal(size=(7, d))
-    out = stage1(rng.normal(size=(1, d)), [kc], [vc])
+    out = stage1(rng.normal(size=(1, d)), joint([kc], [vc]))
     dk = kc - kc.mean(axis=0)
     dv = vc - vc.mean(axis=0)
     want = sum(np.outer(dv[u], dk[u]) for u in range(7)) / 7
@@ -73,18 +78,17 @@ def test_stage1_covariance_matches_loops():
 def test_stage1_empty_cluster_rejected():
     rng = np.random.default_rng(3)
     with pytest.raises(ValueError, match="empty key cluster"):
-        stage1(rng.normal(size=(1, 3)), [np.zeros((0, 3))], [np.zeros((0, 3))])
+        stage1(rng.normal(size=(1, 3)), [np.zeros((0, 6))])
 
 
-def test_stage1_rejects_values_that_do_not_line_up_with_their_keys():
-    # equal totals, so only the per-cluster row counts tell the lists apart
+def test_stage1_rejects_blocks_not_twice_the_query_width():
+    # a key-only block, or a 4-wide block for 4-wide centroids, has no value columns
     rng = np.random.default_rng(4)
-    keys = [rng.normal(size=(3, 4)), rng.normal(size=(2, 4))]
-    vals = [rng.normal(size=(2, 4)), rng.normal(size=(3, 4))]
-    with pytest.raises(ValueError, match="value cluster 0 has 2 rows, its key cluster 3"):
-        stage1(rng.normal(size=(2, 4)), keys, vals)
-    with pytest.raises(ValueError, match="value cluster 1 has 4 rows, its key cluster 2"):
-        stage1(rng.normal(size=(2, 4)), keys, [vals[1], rng.normal(size=(4, 4))])
+    qbar = rng.normal(size=(2, 4))
+    with pytest.raises(ValueError, match=r"2 \* d = 8 wide .* got widths \[4\]"):
+        stage1(qbar, [rng.normal(size=(3, 4)), rng.normal(size=(2, 4))])
+    with pytest.raises(ValueError, match=r"2 \* d = 8 wide .* got widths \[8, 9\]"):
+        stage1(qbar, [rng.normal(size=(3, 8)), rng.normal(size=(2, 9))])
 
 
 def test_stage1_peak_memory_holds_one_score_layout():
@@ -97,9 +101,10 @@ def test_stage1_peak_memory_holds_one_score_layout():
     keys = [rng.normal(size=(u, 16)).astype(np.float32) for u in sizes]
     values = [rng.normal(size=(u, 16)).astype(np.float32) for u in sizes]
     qbar = (0.25 * rng.normal(size=(64, 16))).astype(np.float32)
+    blocks = joint(keys, values)
     tracemalloc.start()
     try:
-        stage1(qbar, keys, values)
+        stage1(qbar, blocks)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -111,7 +116,7 @@ def test_aggregate_dipoles_is_softmax_mixture():
     c_q, c_k, d = 3, 5, 4
     keys = [rng.normal(size=(int(rng.integers(2, 6)), d)) for _ in range(c_k)]
     vals = [rng.normal(size=(k.shape[0], d)) for k in keys]
-    summaries = stage1(rng.normal(size=(c_q, d)), keys, vals)
+    summaries = stage1(rng.normal(size=(c_q, d)), joint(keys, vals))
     agg = aggregate_dipoles(summaries)
     w = stable_softmax(summaries.mu, axis=-1)
     for i in range(c_q):
@@ -124,7 +129,7 @@ def test_final_stage_zero_residual_is_summary_merge():
     d, c_k = 4, 5
     keys = [rng.normal(size=(int(rng.integers(2, 5)), d)) for _ in range(c_k)]
     vals = [rng.normal(size=(k.shape[0], d)) for k in keys]
-    summaries = stage1(rng.normal(size=(1, d)), keys, vals)
+    summaries = stage1(rng.normal(size=(1, d)), joint(keys, vals))
     dipoles = aggregate_dipoles(summaries)
     y_rows, mu_rows = final_stage([np.zeros((3, d))], summaries, dipoles, "full")
     w = stable_softmax(summaries.mu[0], axis=-1)
@@ -138,7 +143,7 @@ def test_final_stage_requires_value_mean_for_no_monopole():
     d = 3
     keys = [rng.normal(size=(2, d))]
     vals = [rng.normal(size=(2, d))]
-    summaries = stage1(rng.normal(size=(1, d)), keys, vals)
+    summaries = stage1(rng.normal(size=(1, d)), joint(keys, vals))
     dipoles = aggregate_dipoles(summaries)
     with pytest.raises(ValueError, match="value mean"):
         final_stage([np.zeros((1, d))], summaries, dipoles, "no_monopole")

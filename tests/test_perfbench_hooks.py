@@ -45,6 +45,8 @@ def test_traced_clustered_call_counts_its_layers():
     for name in ("clustering.cap_assign.ms", "multipole.stage1.ms", "multipole.final_stage.ms"):
         assert metrics[name] > 0, name
     assert metrics["multipole.key_padded_frac"] >= 1 and metrics["multipole.query_padded_frac"] >= 1
+    # the padding counters read one block per cluster: 2 slices of 64 keys and queries
+    assert stats.n["key_tokens"] == stats.n["query_tokens"] == 128
 
 
 def test_traced_clustered_calls_report_no_problems():
