@@ -5,10 +5,11 @@ how far each output moved.
 For instances 0 and 1 of each workload of CHECKOUT/perfbench/run.py, at seeds
 0 and 1000003, it hashes the `cluster_tokens` labels and the outputs (y, mu) of
 `muse_acausal` (clustering in the call, and with those labels frozen), of
-`muse_causal` (the workload's block size, or 256 for an acausal workload) and
-of the exact `attend` and `attend_causal`, each array with its dtype and
-shape. It then hashes the timing-free JSON report of `ablation_run` on the
-inputs and base config of acceptance check 05, with 5 seeds. `WORKLOADS` and
+`muse_causal` (the workload's block size, or 256 for an acausal workload), of
+`muse_acausal` under the no_dipole and no_monopole ablations, and of the exact
+`attend` and `attend_causal`, each array with its dtype and shape. It then
+hashes the timing-free JSON report of `ablation_run` on the inputs and base
+config of acceptance check 05, with 5 seeds. `WORKLOADS` and
 `instance_seed` come from that run.py, loaded without a change, and `muse`
 from CHECKOUT/src. Run it once per checkout and compare the digests:
 
@@ -31,6 +32,7 @@ import argparse  # noqa: E402
 import hashlib  # noqa: E402
 import runpy  # noqa: E402
 import sys  # noqa: E402
+from dataclasses import replace  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -49,6 +51,8 @@ def outputs(muse, wl, q, k, v, config):
     results = {"muse_acausal": muse.muse_acausal(q, k, v, config),
                "muse_acausal_frozen": muse.muse_acausal(q, k, v, config, clusters=clusters),
                "muse_causal": muse.muse_causal(q, k, v, config, wl.block or CAUSAL_BLOCK),
+               **{f"muse_acausal_{a}": muse.muse_acausal(q, k, v, replace(config, ablation=a))
+                  for a in ("no_dipole", "no_monopole")},
                "attend": muse.attend(q, k, v),
                "attend_causal": muse.attend_causal(q, k, v)}
     for name, r in results.items():

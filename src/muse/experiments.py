@@ -24,7 +24,7 @@ import numpy as np
 from .attention import AttentionResult, attend, attend_causal, merge_partials
 from .causal import causal_plan, muse_causal
 from .multipole import MuseConfig, cluster_tokens, muse_acausal, rel_sq_error
-from .numerics import derive_seed
+from .numerics import check_integer, derive_seed
 from .workloads import WorkloadSpec, generate
 
 
@@ -99,6 +99,7 @@ def _mean_std(values) -> dict:
 
 
 def _per_seed_workloads(spec: WorkloadSpec, seeds: int):
+    check_integer(seeds, "seeds")
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
     for rep in range(seeds):
@@ -188,8 +189,11 @@ def scaling_bench(spec: WorkloadSpec, n_list: list[int], token_budget: int,
     median of `reps` repetitions per row. Synthetic workloads only."""
     if spec.kind == "file":
         raise ValueError("scaling_bench takes synthetic workloads only: n_list cannot resize a file")
+    check_integer(reps, "reps")
     if reps < 1:
         raise ValueError("reps must be >= 1")
+    for n in n_list:
+        check_integer(n, "every n")
     if any(n < 1 for n in n_list):
         raise ValueError(f"every n must be >= 1, got {list(n_list)}")
     config = config or MuseConfig()
@@ -263,8 +267,8 @@ def fd_sensitivity(q, k, v, config: MuseConfig, direction, eps: float,
     recomputed from the perturbed queries), probing the smooth branch of the
     piecewise-smooth map.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
     direction = np.asarray(direction, dtype=q.dtype)
     if direction.shape != q.shape:
         raise ValueError("direction must match q's shape")

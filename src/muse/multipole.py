@@ -5,6 +5,8 @@ tilted per-(query-cluster, key-cluster) key/value centroids and logsumexps
 from each key cluster's (U_j, 2d) rows of keys and their values, aggregate
 the per-key-cluster value-key covariances into one dipole matrix per query
 cluster, then refine each residual query against the summaries.
+`final_stage` is the monopole-plus-dipole formula alone; `muse_acausal`
+applies the `MuseConfig.ablation` around it.
 
 The summaries are exact per-cluster attention results for the query
 centroids, so the whole construction inherits the merge identity: with one
@@ -32,10 +34,12 @@ ABLATIONS = ("full", "no_dipole", "no_monopole")
 class MuseConfig:
     """Hyperparameters of the clustered approximation.
 
-    scale=None resolves to 1/sqrt(d) at call time. The ablation switch keeps
-    everything else fixed: no_dipole drops the covariance correction,
-    no_monopole replaces the weighted summary combination with a global value
-    mean plus the dipole term alone; c_q=1 is key-only clustering.
+    scale=None resolves to 1/sqrt(d) at call time. The ablation switch, which
+    `muse_acausal` applies, keeps everything else fixed: no_dipole drops the
+    covariance correction, and no_monopole sets each output to the slice's
+    global value mean plus its residual times the uniform mean of the
+    key-cluster covariances (mu still comes from the monopole softmax);
+    c_q=1 is key-only clustering.
     near_min is read by the causal plan only: levels of `muse_causal` that
     span fewer rows run exact (see `causal_plan`).
     """
@@ -144,38 +148,26 @@ def aggregate_dipoles(summaries: ClusterSummaries) -> np.ndarray:
     return (w @ summaries.cov_vk.reshape(c_k, d * d)).reshape(-1, d, d)
 
 
-def final_stage(
-    residual_clusters: list,
-    summaries: ClusterSummaries,
-    dipoles: np.ndarray,
-    ablation: str = "full",
-    value_mean: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def final_stage(residual_clusters: list, summaries: ClusterSummaries,
+                dipoles: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """Refine each residual query against its cluster's summaries.
 
     Scores are S_j = qres . kbar[i, j] + mu[i, j] (the logsumexp bias applies
     the per-cluster mass in log space); the output is the softmax combination
     of the tilted value centroids plus the dipole correction qres . dipoles[i]^T
-    contracted over the key index. Residuals are already in scaled units.
+    contracted over the key index, left out when `dipoles` is None.
+    Residuals are already in scaled units.
 
     Returns the (y rows, mu rows) of all residuals in cluster order, as flat
-    (n, d) and (n,) arrays. no_monopole needs the global `value_mean` of the
-    slice.
+    (n, d) and (n,) arrays.
     """
-    if ablation not in ABLATIONS:
-        raise ValueError(f"unknown ablation {ablation!r}")
     rpad, mask, _ = _padded(residual_clusters)
     s = np.matmul(rpad, summaries.kbar.transpose(0, 2, 1))
     s += summaries.mu[:, None, :]
     p, mu_rows = softmax_logsumexp_inplace(s)
     y = np.matmul(p, summaries.vbar)
-    if ablation == "full":
+    if dipoles is not None:
         y += np.matmul(rpad, dipoles.transpose(0, 2, 1))
-    elif ablation == "no_monopole":
-        if value_mean is None:
-            raise ValueError("no_monopole requires the global value mean")
-        cov_uniform = summaries.cov_vk.mean(axis=0)
-        y = value_mean + rpad @ cov_uniform.T
     return y[mask], mu_rows[mask]
 
 
@@ -245,7 +237,8 @@ def muse_acausal(q, k, v, config: MuseConfig, threads: int = 1,
     keys), and the stage-1 / dipole-aggregation / final-stage pipeline runs
     per slice. Outputs come back in cluster order and scatter to token order
     in one assignment; the returned mu rows are valid merge weights for
-    `merge_partials`.
+    `merge_partials`. no_dipole hands `final_stage` no dipoles, and
+    no_monopole also overwrites y as `MuseConfig` describes.
 
     `clusters` freezes assignments (centroids are recomputed from the inputs),
     which keeps the function smooth under small perturbations. Each label
@@ -267,11 +260,11 @@ def muse_acausal(q, k, v, config: MuseConfig, threads: int = 1,
         qs = q[bi, hi] * np.asarray(scale, dtype=q.dtype)
         qc, kc = _cluster_slice(qs, k[bi, hi], config, bi, hi, clusters)
         summaries = stage1(qc.centroids, kc.groups(np.concatenate((k[bi, hi], v[bi, hi]), axis=1)))
-        dipoles = aggregate_dipoles(summaries)
+        dipoles = aggregate_dipoles(summaries) if config.ablation == "full" else None
         residuals = qc.groups(decompose(qs, qc))
-        vmean = v[bi, hi].mean(axis=0) if config.ablation == "no_monopole" else None
-        y[bi, hi, qc.order], mu[bi, hi, qc.order] = final_stage(residuals, summaries, dipoles,
-                                                                config.ablation, vmean)
+        y[bi, hi, qc.order], mu[bi, hi, qc.order] = final_stage(residuals, summaries, dipoles)
+        if config.ablation == "no_monopole":
+            y[bi, hi] = v[bi, hi].mean(axis=0) + decompose(qs, qc) @ summaries.cov_vk.mean(axis=0).T
 
     _map_slices(run, b * h, threads)
     return AttentionResult(y=y, mu=mu)

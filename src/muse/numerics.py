@@ -66,24 +66,20 @@ def derive_seed(seed: int, *path: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def stable_logsumexp(scores: np.ndarray, axis: int = -1, keepdims: bool = False) -> np.ndarray:
-    """max-shifted log-sum-exp along `axis`, by `shifted_exp_inplace` on a float
-    copy of `scores`; finite for any finite input.
+def stable_logsumexp(scores: np.ndarray, axis: int = -1) -> np.ndarray:
+    """max-shifted log-sum-exp along `axis`, by `softmax_logsumexp_inplace` on
+    a float copy of `scores`; finite for any finite input.
 
     -inf entries act as mask sentinels and contribute exp(-inf) = 0; a fully
-    masked slice reduces to -inf. Raises as `shifted_exp_inplace` does on an
-    empty reduction, NaN input and a +inf score.
+    masked slice reduces to -inf. Raises as `softmax_logsumexp_inplace` does
+    on an empty reduction, NaN input and a +inf score.
     """
     scores = np.asarray(scores)
     x = scores.astype(np.result_type(scores, 0.0))
     masked = np.all(x == -np.inf, axis=axis, keepdims=True)
     np.copyto(x, 0, where=masked)  # a finite shift for the fully masked slices, whose result is -inf
-    hi = shifted_exp_inplace(x, axis)
-    out = np.log(np.sum(x, axis=axis, keepdims=True))
-    out += hi
-    out[masked] = -np.inf
-    if not keepdims:
-        out = np.squeeze(out, axis=axis)
+    _, out = softmax_logsumexp_inplace(x, axis)
+    np.copyto(out, -np.inf, where=np.squeeze(masked, axis=axis))
     return out[()] if out.ndim == 0 else out
 
 
@@ -92,30 +88,12 @@ def stable_softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
     (`result_type(scores, 0.0)`, as in `stable_logsumexp`, so integer and bool
     scores run in float64). -inf entries map to exactly 0.
 
-    Raises as `shifted_exp_inplace` does: on an empty reduction, NaN input,
-    a +inf score and any fully masked (all -inf) slice.
+    Raises as `softmax_logsumexp_inplace` does: on an empty reduction, NaN
+    input, a +inf score and any fully masked (all -inf) slice.
     """
     scores = np.asarray(scores)
     p, _ = softmax_logsumexp_inplace(scores.astype(np.result_type(scores, 0.0)), axis)
     return p
-
-
-def shifted_exp_inplace(scores: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Overwrite `scores` with exp(scores - max) along `axis`; return the max.
-
-    The max keeps `axis` (keepdims), so it broadcasts back against `scores`.
-    Every slice of the result holds at least one exp(0) = 1, so any sum over
-    `axis` is >= 1. -inf entries map to exactly 0. Raises on an empty
-    reduction, and through `check_score_max` on NaN input, a +inf score
-    (overflow), or a fully masked (all -inf) slice.
-    """
-    if scores.shape == () or scores.shape[axis] == 0:
-        raise ValueError("empty reduction")
-    hi = np.max(scores, axis=axis, keepdims=True)
-    check_score_max(hi)
-    np.subtract(scores, hi, out=scores)
-    np.exp(scores, out=scores)
-    return hi
 
 
 def check_score_max(hi: np.ndarray) -> None:
@@ -133,12 +111,18 @@ def check_score_max(hi: np.ndarray) -> None:
 def softmax_logsumexp_inplace(scores: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
     """Softmax and logsumexp along `axis` from a single exp, computed in place.
 
-    `scores` (a writable float array) is overwritten with the softmax and
-    returned together with the logsumexp, which has `axis` removed; both equal
-    what `stable_softmax` and `stable_logsumexp` return. Raises as
-    `shifted_exp_inplace` does.
+    `scores` (a writable float array) is overwritten with exp(scores - max),
+    then divided by its sum, and returned together with the logsumexp
+    max + log(sum), which has `axis` removed; -inf entries map to exactly 0.
+    Raises on an empty reduction, and through `check_score_max` on NaN input,
+    a +inf score (overflow), or a fully masked (all -inf) slice.
     """
-    hi = shifted_exp_inplace(scores, axis)
+    if scores.shape == () or scores.shape[axis] == 0:
+        raise ValueError("empty reduction")
+    hi = np.max(scores, axis=axis, keepdims=True)
+    check_score_max(hi)
+    np.subtract(scores, hi, out=scores)
+    np.exp(scores, out=scores)
     total = np.sum(scores, axis=axis, keepdims=True)
     scores /= total
     lse = np.log(total)

@@ -99,11 +99,13 @@ def test_error_sweep_rejects_grid_with_different_scales():
 @pytest.mark.parametrize("driver", [
     lambda seeds: error_sweep(SMALL_MIX, [MuseConfig(c_q=16, c_k=16, seed=0)], seeds=seeds),
     lambda seeds: ablation_run(SMALL_MIX, MuseConfig(c_q=16, c_k=16, seed=0), seeds=seeds),
-], ids=["error_sweep", "ablation_run"])
-@pytest.mark.parametrize("seeds", [0, -1])
+    lambda seeds: causal_bench(SMALL_MIX, MuseConfig(c_q=16, c_k=16, seed=0), 32, seeds=seeds),
+], ids=["error_sweep", "ablation_run", "causal_bench"])
+@pytest.mark.parametrize("seeds", [0, -1, 2.0, 1.5])
 def test_drivers_reject_no_seeds(driver, seeds):
     # an empty run would report nothing (or NaN aggregates and vacuous verdicts)
-    with pytest.raises(ValueError, match="seeds must be >= 1"):
+    match = "seeds must be >= 1" if isinstance(seeds, int) else "seeds must be an integer"
+    with pytest.raises(ValueError, match=match):
         driver(seeds)
 
 
@@ -161,8 +163,13 @@ def test_scaling_bench_rejects_no_reps_and_empty_n():
     cfg = MuseConfig(c_q=8, c_k=8)
     with pytest.raises(ValueError, match="reps must be >= 1"):
         scaling_bench(spec, [64], token_budget=1024, config=cfg, reps=0)
+    with pytest.raises(ValueError, match="reps must be an integer"):
+        scaling_bench(spec, [64], token_budget=1024, config=cfg, reps=2.0)
     for bad in ([0], [64, 0], [-64]):
         with pytest.raises(ValueError, match="n must be >= 1"):
+            scaling_bench(spec, bad, token_budget=1024, config=cfg)
+    for bad in ([64.0], [64, 128.0]):
+        with pytest.raises(ValueError, match="every n must be an integer"):
             scaling_bench(spec, bad, token_budget=1024, config=cfg)
 
 
@@ -220,8 +227,9 @@ def test_acausal_drivers_read_shapes_from_a_file_workload(tmp_path, driver, labe
 def test_fd_sensitivity_validation():
     q, k, v = generate(WorkloadSpec(n=32, d=4, seed=0))
     cfg = MuseConfig(c_q=4, c_k=4, seed=0)
-    with pytest.raises(ValueError, match="eps must be positive"):
-        fd_sensitivity(q, k, v, cfg, np.zeros_like(q), eps=0.0)
+    for eps in (0.0, -1e-5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            fd_sensitivity(q, k, v, cfg, np.zeros_like(q), eps=eps)
     with pytest.raises(ValueError, match="direction must match"):
         fd_sensitivity(q, k, v, cfg, np.zeros((1, 1, 4, 4)), eps=1e-5)
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import muse.clustering
+import muse.multipole
 from muse import ABLATIONS, MuseConfig, attend, cluster_tokens, muse_acausal, rel_sq_error
 from muse.attention import AttentionResult
 from muse.multipole import MuseClusters, aggregate_dipoles, final_stage, stage1
@@ -130,25 +131,27 @@ def test_final_stage_zero_residual_is_summary_merge():
     keys = [rng.normal(size=(int(rng.integers(2, 5)), d)) for _ in range(c_k)]
     vals = [rng.normal(size=(k.shape[0], d)) for k in keys]
     summaries = stage1(rng.normal(size=(1, d)), joint(keys, vals))
-    dipoles = aggregate_dipoles(summaries)
-    y_rows, mu_rows = final_stage([np.zeros((3, d))], summaries, dipoles, "full")
     w = stable_softmax(summaries.mu[0], axis=-1)
     want = w @ summaries.vbar[0]
-    for u in range(3):
-        np.testing.assert_allclose(y_rows[u], want, atol=1e-13)
+    # a zero residual meets no dipole term, so leaving the dipoles out changes nothing
+    for dipoles in (aggregate_dipoles(summaries), None):
+        y_rows, _ = final_stage([np.zeros((3, d))], summaries, dipoles)
+        for u in range(3):
+            np.testing.assert_allclose(y_rows[u], want, atol=1e-13)
 
 
-def test_final_stage_requires_value_mean_for_no_monopole():
-    rng = np.random.default_rng(6)
-    d = 3
-    keys = [rng.normal(size=(2, d))]
-    vals = [rng.normal(size=(2, d))]
-    summaries = stage1(rng.normal(size=(1, d)), joint(keys, vals))
-    dipoles = aggregate_dipoles(summaries)
-    with pytest.raises(ValueError, match="value mean"):
-        final_stage([np.zeros((1, d))], summaries, dipoles, "no_monopole")
-    with pytest.raises(ValueError, match="ablation"):
-        final_stage([np.zeros((1, d))], summaries, dipoles, "bogus")
+@pytest.mark.parametrize("ablation, calls", [("full", 4), ("no_dipole", 0), ("no_monopole", 0)])
+def test_muse_aggregates_dipoles_only_for_full(monkeypatch, ablation, calls):
+    seen = []
+
+    def counting(summaries):
+        seen.append(summaries)
+        return aggregate_dipoles(summaries)
+
+    monkeypatch.setattr(muse.multipole, "aggregate_dipoles", counting)
+    q, k, v = make_qkv(12, b=2, h=2, n=24, d=4)
+    muse_acausal(q, k, v, MuseConfig(c_q=3, c_k=4, ablation=ablation, seed=0))
+    assert len(seen) == calls  # once per (batch, head) slice under full
 
 
 @pytest.mark.parametrize("run", [*ABLATIONS, "single_query_cluster"])

@@ -9,7 +9,6 @@ from muse.numerics import (
     derive_seed,
     make_rng,
     resolve_dtype,
-    shifted_exp_inplace,
     softmax_logsumexp_inplace,
     stable_logsumexp,
     stable_softmax,
@@ -117,30 +116,15 @@ def test_softmax_logsumexp_inplace_equals_separate_calls(values, dtype):
 
 
 def test_softmax_logsumexp_inplace_errors():
-    # the checks live in shifted_exp_inplace; both entry points must raise them
-    for fn in (shifted_exp_inplace, softmax_logsumexp_inplace):
-        with pytest.raises(ValueError, match="NaN"):
-            fn(np.array([[0.0, np.nan], [1.0, 2.0]]))
-        with pytest.raises(ValueError, match="fully masked"):
-            fn(np.array([[0.0, 1.0], [-np.inf, -np.inf]]))
-        with pytest.raises(ValueError, match="empty"):
-            fn(np.zeros((2, 0)))
-        with pytest.raises(ValueError, match="score overflow"):
-            fn(np.array([[0.0, 1.0], [np.inf, -np.inf]], dtype=np.float32))
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("axis", [-1, 0])
-def test_shifted_exp_inplace_overwrites_and_returns_max(dtype, axis):
-    rng = np.random.default_rng(3)
-    s = (rng.normal(size=(5, 7)) * 10).astype(dtype)
-    s[rng.random(size=s.shape) < 0.3] = -np.inf
-    s[0, :] = s[:, 0] = 1.0  # no fully masked row or column
-    buf = s.copy()
-    top = shifted_exp_inplace(buf, axis=axis)
-    assert top.dtype == dtype and np.array_equal(top, s.max(axis=axis, keepdims=True))
-    assert np.array_equal(buf, np.exp(s - top))
-    assert np.all(buf.max(axis=axis) == 1.0) and np.all(buf[s == -np.inf] == 0.0)
+    # stable_softmax and stable_logsumexp raise through this one entry point
+    with pytest.raises(ValueError, match="NaN"):
+        softmax_logsumexp_inplace(np.array([[0.0, np.nan], [1.0, 2.0]]))
+    with pytest.raises(ValueError, match="fully masked"):
+        softmax_logsumexp_inplace(np.array([[0.0, 1.0], [-np.inf, -np.inf]]))
+    with pytest.raises(ValueError, match="empty"):
+        softmax_logsumexp_inplace(np.zeros((2, 0)))
+    with pytest.raises(ValueError, match="score overflow"):
+        softmax_logsumexp_inplace(np.array([[0.0, 1.0], [np.inf, -np.inf]], dtype=np.float32))
 
 
 def test_score_overflow_is_not_a_masked_row():
