@@ -70,7 +70,10 @@ def _check_qkv(q, k, v, bias):
 
 
 def _map_slices(fn, n_slices: int, threads: int):
-    if threads <= 1 or n_slices <= 1:
+    check_integer(threads, "threads")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    if threads == 1 or n_slices <= 1:
         for i in range(n_slices):
             fn(i)
     else:
@@ -228,6 +231,8 @@ def merge_partials(parts: list[AttentionResult]) -> AttentionResult:
     for p in parts:
         if p.mu.shape != shape:
             raise ValueError("merge parts disagree on query shape")
+        if p.y.shape != parts[0].y.shape:
+            raise ValueError("merge parts disagree on output shape")
         if not np.isfinite(p.y).all():
             raise ValueError("non-finite y in merge part")
     mus = np.stack([p.mu for p in parts])

@@ -192,6 +192,9 @@ def scaling_bench(spec: WorkloadSpec, n_list: list[int], token_budget: int,
     check_integer(reps, "reps")
     if reps < 1:
         raise ValueError("reps must be >= 1")
+    check_integer(token_budget, "token_budget")
+    if token_budget < 1:
+        raise ValueError(f"token_budget must be >= 1, got {token_budget}")
     for n in n_list:
         check_integer(n, "every n")
     if any(n < 1 for n in n_list):

@@ -5,7 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from muse import WorkloadSpec, attend, attend_causal, attend_sliding, generate, merge_partials
+from muse import (
+    MuseConfig,
+    WorkloadSpec,
+    attend,
+    attend_causal,
+    attend_sliding,
+    cluster_tokens,
+    generate,
+    merge_partials,
+    muse_acausal,
+    muse_causal,
+)
 from muse.attention import KEY_TILE, TILE, AttentionResult
 
 from oracles import naive_attend, naive_attend_causal, naive_attend_slice, naive_attend_sliding, naive_merge
@@ -278,8 +289,11 @@ def test_merge_shape_mismatch_raises():
     q, k, v = make_qkv(22, n=6, d=3)
     a = attend(q, k, v)
     b = attend(q[:, :, :4], k, v)
-    with pytest.raises(ValueError, match="disagree"):
+    with pytest.raises(ValueError, match="disagree on query shape"):
         merge_partials([a, b])
+    narrow = AttentionResult(y=a.y[..., :2], mu=a.mu)
+    with pytest.raises(ValueError, match="disagree on output shape"):
+        merge_partials([a, narrow])
 
 
 def test_result_shape_validation():
@@ -292,6 +306,23 @@ ENTRY_POINTS = {
     "attend_causal": attend_causal,
     "attend_sliding": lambda q, k, v, **kw: attend_sliding(q, k, v, window=3, **kw),
 }
+
+
+SLICED_ENTRY_POINTS = {
+    **ENTRY_POINTS,
+    "muse_acausal": lambda q, k, v, **kw: muse_acausal(q, k, v, MuseConfig(c_q=4, c_k=4, seed=0), **kw),
+    "cluster_tokens": lambda q, k, v, **kw: cluster_tokens(q, k, MuseConfig(c_q=4, c_k=4, seed=0), **kw),
+    "muse_causal": lambda q, k, v, **kw: muse_causal(q, k, v, MuseConfig(c_q=4, c_k=4, seed=0, near_min=1),
+                                                    b=8, **kw),
+}
+
+
+@pytest.mark.parametrize("entry", SLICED_ENTRY_POINTS)
+@pytest.mark.parametrize("threads", [0, -3, 2.5, "2", None])
+def test_every_entry_point_rejects_bad_threads(entry, threads):
+    q, k, v = make_qkv(24, n=32, d=4)
+    with pytest.raises(ValueError, match="threads must be"):
+        SLICED_ENTRY_POINTS[entry](q, k, v, threads=threads)
 
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS)

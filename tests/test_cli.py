@@ -154,6 +154,8 @@ def test_invalid_values_exit_nonzero(capsys):
     (("bench", "--n-list", "0"), "n must be >= 1"),
     (("error-sweep", "--seeds", "0"), "seeds must be >= 1"),
     (("ablate", "--seeds", "0"), "seeds must be >= 1"),
+    (("error-sweep", "--threads", "0"), "threads must be >= 1"),
+    (("bench", "--budget", "0"), "token_budget must be >= 1"),
 ])
 def test_zero_counts_exit_2(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from muse import MuseConfig, muse_acausal
 from muse.clustering import (
     CentroidInit,
     _repair_empties,
@@ -194,6 +195,20 @@ def test_kmeans_rejects_non_matrix_or_non_finite_tokens():
         for given_init in (None, init):
             with pytest.raises(ValueError, match="x contains non-finite entries"):
                 kmeans(y, 2, 1, 1.5, make_rng(0), init=given_init)
+
+
+def test_overflowing_distances_are_rejected():
+    # finite f32 tokens whose squared distances overflow: inf and NaN tie every
+    # argmin, so without the check cap_assign's rounds would place no token
+    x = (1e20 * np.random.default_rng(12).normal(size=(64, 8))).astype(np.float32)
+    q = x.reshape(1, 1, 64, 8)
+    k, v = np.random.default_rng(13).normal(size=(2, 1, 1, 64, 8)).astype(np.float32)
+    calls = (lambda: cap_assign(x, x[:4].copy(), 16), lambda: kmeans(x, 4, 2, 1.5, make_rng(0)),
+             lambda: muse_acausal(q, k, v, MuseConfig(c_q=4, c_k=4, seed=0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for call in calls:
+            with pytest.raises(ValueError, match="squared distances overflow float32"):
+                call()
 
 
 def test_clustering_from_assignments_rejects_bad_labels():

@@ -171,6 +171,11 @@ def test_scaling_bench_rejects_no_reps_and_empty_n():
     for bad in ([64.0], [64, 128.0]):
         with pytest.raises(ValueError, match="every n must be an integer"):
             scaling_bench(spec, bad, token_budget=1024, config=cfg)
+    with pytest.raises(ValueError, match="token_budget must be an integer"):
+        scaling_bench(spec, [64], token_budget=128.0, config=cfg)
+    for bad in (0, -128):
+        with pytest.raises(ValueError, match="token_budget must be >= 1"):
+            scaling_bench(spec, [64], token_budget=bad, config=cfg)
 
 
 def test_causal_bench_hierarchical_and_degenerate():
