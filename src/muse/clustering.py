@@ -89,11 +89,13 @@ def clustering_from_assignments(x: np.ndarray, assign: np.ndarray, c: int) -> Cl
 def _sq_dists(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """(n, c) squared Euclidean distances, matmul-based: (||x||^2 - 2 x.c) + ||c||^2,
     computed in place in the one (n, c) buffer. Finite tokens whose distances
-    overflow the dtype are rejected: inf and NaN distances tie every argmin."""
-    d2 = x @ centroids.T
-    d2 *= -2.0
-    d2 += np.sum(x * x, axis=1)[:, None]
-    d2 += np.sum(centroids * centroids, axis=1)
+    overflow the dtype are rejected: inf and NaN distances tie every argmin.
+    The overflow raises that error alone, with no numpy RuntimeWarning first."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = x @ centroids.T
+        d2 *= -2.0
+        d2 += np.sum(x * x, axis=1)[:, None]
+        d2 += np.sum(centroids * centroids, axis=1)
     np.maximum(d2, 0.0, out=d2)
     if not np.isfinite(d2.max(initial=0.0)):  # NaN propagates
         raise ValueError(f"squared distances overflow {d2.dtype}; rescale the tokens")

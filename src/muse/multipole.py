@@ -6,7 +6,9 @@ from each key cluster's (U_j, 2d) rows of keys and their values, aggregate
 the per-key-cluster value-key covariances into one dipole matrix per query
 cluster, then refine each residual query against the summaries.
 `final_stage` is the monopole-plus-dipole formula alone; `muse_acausal`
-applies the `MuseConfig.ablation` around it.
+applies the `MuseConfig.ablation` around it. Neither stage normalises its
+exponentiated scores: each divides their product with the (tilted) values by
+the sums, as the exact kernel does.
 
 The summaries are exact per-cluster attention results for the query
 centroids, so the whole construction inherits the merge identity: with one
@@ -22,8 +24,7 @@ import numpy as np
 
 from .attention import AttentionResult, _check_qk, _check_qkv, _map_slices
 from .clustering import Clustering, clustering_from_assignments, decompose, kmeans
-from .numerics import (check_integer, check_seed, derive_seed, make_rng, softmax_logsumexp_inplace,
-                       stable_softmax)
+from .numerics import check_integer, check_seed, derive_seed, exp_logsumexp_inplace, make_rng, stable_softmax
 # perfbench/tracing.py wraps muse.multipole.stable_logsumexp, so the name stays importable here
 from .numerics import stable_logsumexp  # noqa: F401
 
@@ -90,15 +91,20 @@ class ClusterSummaries:
     cov_vk: np.ndarray  # (c_k, d, d)
 
 
-def _padded(groups: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack variable-length (U_j, d) arrays into zero-padded (C, U_max, d),
-    plus the (C, U_max) validity mask and the (C,) group sizes."""
+def _padded(groups: list) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Stack variable-length (U_j, d) arrays into zero-padded (C, U_max, d).
+
+    Also returns the flat indices into the first two axes of the real rows
+    (in group order, so `out.reshape(-1, d)[real]` gives back the
+    concatenated groups) and of the padded slots, and the (C,) group sizes.
+    """
     sizes = np.array([g.shape[0] for g in groups])
     mask = np.arange(sizes.max()) < sizes[:, None]
+    real, pad = np.flatnonzero(mask), np.flatnonzero(~mask)
     rows = np.concatenate(groups)
     out = np.zeros(mask.shape + rows.shape[1:], dtype=rows.dtype)
-    out[mask] = rows
-    return out, mask, sizes
+    out.reshape((-1,) + rows.shape[1:])[real] = rows
+    return out, real, pad, sizes
 
 
 def stage1(qbar: np.ndarray, key_clusters: list) -> ClusterSummaries:
@@ -117,24 +123,28 @@ def stage1(qbar: np.ndarray, key_clusters: list) -> ClusterSummaries:
     if widths != [2 * d]:
         raise ValueError(f"key/value blocks must be 2 * d = {2 * d} wide for {d}-wide query "
                          f"centroids, got widths {widths}")
-    kvpad, mask, sizes = _padded(key_clusters)
+    kvpad, _, pad, sizes = _padded(key_clusters)
     if not sizes.all():
         raise ValueError("empty key cluster")
     c_k, u_max, _ = kvpad.shape
-    # scores laid out (c_k, U, c_q) from one GEMM: the softmax reduces over U with
-    # every step vectorised along c_q, where reducing the short last axis of a
-    # (c_k, c_q, U) layout costs several times more. Each p[j].T is a
-    # column-major matrix that BLAS takes as it lies, so numpy makes no copy of
-    # p, and kbar/vbar come out of one (c_k, c_q, 2d) product for final_stage.
-    s = (kvpad.reshape(-1, 2 * d)[:, :d] @ qbar.T).reshape(c_k, u_max, -1)
-    np.copyto(s, -np.inf, where=~mask[:, :, None])
-    p, mu = softmax_logsumexp_inplace(s, axis=1)
-    kvbar = np.matmul(p.transpose(0, 2, 1), kvpad).transpose(1, 0, 2)
-    del s, p  # free the scores before the covariance temporaries
+    # scores laid out (c_k, U, c_q) from one GEMM, so the exp and its sums reduce
+    # over U with every step vectorised along c_q; the padded slots are whole rows
+    # of the flat (c_k U, c_q) scores. The exponentials stay unnormalised: each
+    # e[j].T is a column-major matrix that BLAS takes as it lies, kbar/vbar come
+    # out of one (c_k, c_q, 2d) product, and that product is divided by the sums,
+    # 2d divisions per (i, j) pair in place of U_max.
+    s = kvpad.reshape(-1, 2 * d)[:, :d] @ qbar.T
+    s[pad] = -np.inf
+    s = s.reshape(c_k, u_max, -1)
+    total, mu = exp_logsumexp_inplace(s, axis=1)
+    kvbar = np.matmul(s.transpose(0, 2, 1), kvpad)
+    del s  # free the scores before the division's buffer and the covariance temporaries
+    kvbar /= total[:, :, None]
+    kvbar = kvbar.transpose(1, 0, 2)
     counts = sizes[:, None, None].astype(kvpad.dtype)
     # deviations from the plain member means, zeroed again in the padded slots
     dkv = kvpad - kvpad.sum(axis=1, keepdims=True) / counts
-    dkv[~mask] = 0
+    dkv.reshape(-1, 2 * d)[pad] = 0
     cov_vk = np.matmul(dkv[:, :, d:].transpose(0, 2, 1), dkv[:, :, :d]) / counts
     return ClusterSummaries(kbar=kvbar[:, :, :d], vbar=kvbar[:, :, d:], mu=mu.T, cov_vk=cov_vk)
 
@@ -154,21 +164,32 @@ def final_stage(residual_clusters: list, summaries: ClusterSummaries,
 
     Scores are S_j = qres . kbar[i, j] + mu[i, j] (the logsumexp bias applies
     the per-cluster mass in log space); the output is the softmax combination
-    of the tilted value centroids plus the dipole correction qres . dipoles[i]^T
-    contracted over the key index, left out when `dipoles` is None.
-    Residuals are already in scaled units.
+    of the tilted value centroids, taken as sum_j exp(S_j) vbar[i, j] over
+    sum_j exp(S_j) after the max shift, plus the dipole correction
+    qres . dipoles[i]^T contracted over the key index, left out when
+    `dipoles` is None. Residuals are already in scaled units.
 
     Returns the (y rows, mu rows) of all residuals in cluster order, as flat
     (n, d) and (n,) arrays.
     """
-    rpad, mask, _ = _padded(residual_clusters)
-    s = np.matmul(rpad, summaries.kbar.transpose(0, 2, 1))
-    s += summaries.mu[:, None, :]
-    p, mu_rows = softmax_logsumexp_inplace(s)
-    y = np.matmul(p, summaries.vbar)
+    rpad, real, _, _ = _padded(residual_clusters)
+    kbar, vbar, mu = summaries.kbar, summaries.vbar, summaries.mu
+    c_q, u_max, d = rpad.shape
+    # scores laid out (c_k, c_q, U): one batched product writes them through the
+    # transposed view, so the exp and its sums reduce over the leading axis, one
+    # vectorised pass per key cluster over all c_q U rows; the y product reads
+    # e[:, i, :].T as a column-major matrix, and y is divided by the sums, d
+    # divisions per row in place of c_k
+    s = np.empty((kbar.shape[1], c_q, u_max), dtype=np.result_type(rpad, kbar))
+    np.matmul(kbar, rpad.transpose(0, 2, 1), out=s.transpose(1, 0, 2))
+    s += mu.T[:, :, None]
+    total, mu_rows = exp_logsumexp_inplace(s, axis=0)
+    y = np.matmul(s.transpose(1, 2, 0), vbar)
+    del s  # free the exponentials before the division's buffer
+    y /= total[:, :, None]
     if dipoles is not None:
         y += np.matmul(rpad, dipoles.transpose(0, 2, 1))
-    return y[mask], mu_rows[mask]
+    return y.reshape(-1, d)[real], mu_rows.reshape(-1)[real]
 
 
 @dataclass

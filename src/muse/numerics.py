@@ -39,15 +39,17 @@ def check_tensor4(x: np.ndarray, name: str = "tensor") -> np.ndarray:
 
 
 def check_integer(value, name: str) -> None:
-    """Reject a value that is not a Python or numpy integer, by name."""
-    if not isinstance(value, numbers.Integral):
+    """Reject a value that is not a Python or numpy integer, by name. A bool
+    is a `numbers.Integral` but not a count, so it is rejected too."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def check_seed(seed) -> None:
     """Reject a seed that is not a non-negative integer: None would draw fresh
-    OS entropy, so two runs of one configuration would differ."""
-    if not isinstance(seed, numbers.Integral) or seed < 0:
+    OS entropy, so two runs of one configuration would differ; a bool is not
+    a seed either."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
@@ -67,18 +69,18 @@ def derive_seed(seed: int, *path: int) -> int:
 
 
 def stable_logsumexp(scores: np.ndarray, axis: int = -1) -> np.ndarray:
-    """max-shifted log-sum-exp along `axis`, by `softmax_logsumexp_inplace` on
-    a float copy of `scores`; finite for any finite input.
+    """max-shifted log-sum-exp along `axis`, by `exp_logsumexp_inplace` on a
+    float copy of `scores`; finite for any finite input.
 
     -inf entries act as mask sentinels and contribute exp(-inf) = 0; a fully
-    masked slice reduces to -inf. Raises as `softmax_logsumexp_inplace` does
-    on an empty reduction, NaN input and a +inf score.
+    masked slice reduces to -inf. Raises as `exp_logsumexp_inplace` does on
+    an empty reduction, NaN input and a +inf score.
     """
     scores = np.asarray(scores)
     x = scores.astype(np.result_type(scores, 0.0))
     masked = np.all(x == -np.inf, axis=axis, keepdims=True)
     np.copyto(x, 0, where=masked)  # a finite shift for the fully masked slices, whose result is -inf
-    _, out = softmax_logsumexp_inplace(x, axis)
+    _, out = exp_logsumexp_inplace(x, axis)
     np.copyto(out, -np.inf, where=np.squeeze(masked, axis=axis))
     return out[()] if out.ndim == 0 else out
 
@@ -88,11 +90,13 @@ def stable_softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
     (`result_type(scores, 0.0)`, as in `stable_logsumexp`, so integer and bool
     scores run in float64). -inf entries map to exactly 0.
 
-    Raises as `softmax_logsumexp_inplace` does: on an empty reduction, NaN
-    input, a +inf score and any fully masked (all -inf) slice.
+    Raises as `exp_logsumexp_inplace` does: on an empty reduction, NaN input,
+    a +inf score and any fully masked (all -inf) slice.
     """
     scores = np.asarray(scores)
-    p, _ = softmax_logsumexp_inplace(scores.astype(np.result_type(scores, 0.0)), axis)
+    p = scores.astype(np.result_type(scores, 0.0))
+    total, _ = exp_logsumexp_inplace(p, axis)
+    p /= np.expand_dims(total, axis)
     return p
 
 
@@ -108,14 +112,17 @@ def check_score_max(hi: np.ndarray) -> None:
         raise ValueError("fully masked row")
 
 
-def softmax_logsumexp_inplace(scores: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
-    """Softmax and logsumexp along `axis` from a single exp, computed in place.
+def exp_logsumexp_inplace(scores: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
+    """Shifted exponentials, their sums and the logsumexp along `axis`, from a
+    single exp computed in place.
 
-    `scores` (a writable float array) is overwritten with exp(scores - max),
-    then divided by its sum, and returned together with the logsumexp
-    max + log(sum), which has `axis` removed; -inf entries map to exactly 0.
-    Raises on an empty reduction, and through `check_score_max` on NaN input,
-    a +inf score (overflow), or a fully masked (all -inf) slice.
+    `scores` (a writable float array) is overwritten with exp(scores - max)
+    and left unnormalised: a caller that needs the softmax divides by the sums,
+    or divides a product of the exponentials, which is cheaper when the
+    product is narrower. Returns (sums, max + log(sums)), both with `axis`
+    removed; -inf entries map to exactly 0. Raises on an empty reduction, and
+    through `check_score_max` on NaN input, a +inf score (overflow), or a
+    fully masked (all -inf) slice.
     """
     if scores.shape == () or scores.shape[axis] == 0:
         raise ValueError("empty reduction")
@@ -124,7 +131,6 @@ def softmax_logsumexp_inplace(scores: np.ndarray, axis: int = -1) -> tuple[np.nd
     np.subtract(scores, hi, out=scores)
     np.exp(scores, out=scores)
     total = np.sum(scores, axis=axis, keepdims=True)
-    scores /= total
     lse = np.log(total)
     lse += hi
-    return scores, np.squeeze(lse, axis=axis)
+    return np.squeeze(total, axis=axis), np.squeeze(lse, axis=axis)

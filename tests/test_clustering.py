@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from muse import MuseConfig, muse_acausal
 from muse.clustering import (
     CentroidInit,
     _repair_empties,
+    _sq_dists,
     cap_assign,
     clustering_from_assignments,
     decompose,
@@ -207,6 +209,17 @@ def test_overflowing_distances_are_rejected():
              lambda: muse_acausal(q, k, v, MuseConfig(c_q=4, c_k=4, seed=0)))
     with np.errstate(over="ignore", invalid="ignore"):
         for call in calls:
+            with pytest.raises(ValueError, match="squared distances overflow float32"):
+                call()
+
+
+def test_overflowing_distances_raise_no_numpy_warning():
+    # with warnings as errors, numpy's "overflow encountered in matmul" would
+    # raise before the check; the ValueError is the only signal a caller sees
+    x = (1e20 * np.random.default_rng(12).normal(size=(64, 8))).astype(np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: _sq_dists(x, x[:4].copy()), lambda: kmeans(x, 4, 2, 1.5, make_rng(0))):
             with pytest.raises(ValueError, match="squared distances overflow float32"):
                 call()
 

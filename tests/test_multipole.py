@@ -93,23 +93,75 @@ def test_stage1_rejects_blocks_not_twice_the_query_width():
 
 
 def test_stage1_peak_memory_holds_one_score_layout():
-    # c_q = c_k = 64, U_max = 24, d = 16, f32: stage 1 peaked at 1.135 MB before its
-    # scores moved to a (c_k, U, c_q) layout; a copy of the (64, 24, 64) probabilities
-    # for the kbar/vbar products, or keeping them alive past those products, raises
-    # the peak to about 1.50 MB
+    # stage 1 peaked at 1.135 MB before its scores moved to a (c_k, U, c_q) layout,
+    # and peaks at 1.154 MB with the exponentials left unnormalised; a copy of the
+    # (64, 24, 64) exponentials for the kbar/vbar product raises the peak to 1.55 MB
+    qbar, blocks, _ = peak_memory_inputs()
+    peak = peak_bytes(lambda: stage1(qbar, blocks))
+    assert peak < 1.1 * 1.135e6, f"peak {peak / 1e6:.3f} MB"
+
+
+def peak_memory_inputs():
+    """c_q = c_k = 64 clusters of 8-24 rows, d = 16, f32: key/value blocks,
+    query centroids, and residual clusters of the key clusters' sizes."""
     rng = np.random.default_rng(33)
     sizes = np.concatenate([[24], rng.integers(8, 25, size=63)])
     keys = [rng.normal(size=(u, 16)).astype(np.float32) for u in sizes]
     values = [rng.normal(size=(u, 16)).astype(np.float32) for u in sizes]
     qbar = (0.25 * rng.normal(size=(64, 16))).astype(np.float32)
-    blocks = joint(keys, values)
+    residuals = [(0.25 * rng.normal(size=(u, 16))).astype(np.float32) for u in sizes]
+    return qbar, joint(keys, values), residuals
+
+
+def peak_bytes(call) -> int:
     tracemalloc.start()
     try:
-        stage1(qbar, blocks)
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.1 * 1.135e6, f"peak {peak / 1e6:.3f} MB"
+
+
+def test_final_stage_peak_memory_holds_one_score_layout():
+    # on the inputs of the stage-1 test: 0.698 MB with normalised (c_q, U, c_k)
+    # probabilities, 0.613 MB with the (c_k, c_q, U) exponentials written through
+    # a transposed view and freed before y is divided; a contiguous copy of the
+    # exponentials for the y product raises the peak to 1.006 MB
+    qbar, blocks, residuals = peak_memory_inputs()
+    summaries = stage1(qbar, blocks)
+    dipoles = aggregate_dipoles(summaries)
+    peak = peak_bytes(lambda: final_stage(residuals, summaries, dipoles))
+    assert peak < 1.1 * 0.613e6, f"peak {peak / 1e6:.3f} MB"
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("with_dipoles", [True, False])
+def test_final_stage_matches_per_row_loop(dtype, with_dipoles):
+    # uneven residual clusters, a singleton up to U_max = 12, so most score slots are padding
+    rng = np.random.default_rng(40)
+    d, c_k = 5, 4
+    sizes = [1, 7, 3, 12, 1, 5]
+    keys = [rng.normal(size=(u, d)).astype(dtype) for u in (3, 1, 6, 4)]
+    vals = [rng.normal(size=k.shape).astype(dtype) for k in keys]
+    summaries = stage1(rng.normal(size=(len(sizes), d)).astype(dtype), joint(keys, vals))
+    dipoles = aggregate_dipoles(summaries) if with_dipoles else None
+    residuals = [(0.5 * rng.normal(size=(u, d))).astype(dtype) for u in sizes]
+    y_rows, mu_rows = final_stage(residuals, summaries, dipoles)
+    assert y_rows.shape == (sum(sizes), d) and mu_rows.shape == (sum(sizes),)
+    assert y_rows.dtype == mu_rows.dtype == dtype
+    tol = 32 * np.finfo(dtype).eps
+    kbar, vbar, mu = (a.astype(np.float64) for a in (summaries.kbar, summaries.vbar, summaries.mu))
+    rows = iter(range(sum(sizes)))
+    for i, rc in enumerate(residuals):
+        for r in rc.astype(np.float64):
+            row = next(rows)
+            s = kbar[i] @ r + mu[i]
+            e = np.exp(s - s.max())
+            want_y = e @ vbar[i] / e.sum()
+            if dipoles is not None:
+                want_y += dipoles[i].astype(np.float64) @ r
+            np.testing.assert_allclose(y_rows[row], want_y, rtol=tol, atol=tol)
+            assert mu_rows[row] == pytest.approx(s.max() + np.log(e.sum()), rel=tol, abs=tol)
 
 
 def test_aggregate_dipoles_is_softmax_mixture():

@@ -4,12 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from muse import MuseConfig, WorkloadSpec, attend, error_sweep
 from muse.numerics import (
+    check_integer,
+    check_seed,
     check_tensor4,
     derive_seed,
+    exp_logsumexp_inplace,
     make_rng,
     resolve_dtype,
-    softmax_logsumexp_inplace,
     stable_logsumexp,
     stable_softmax,
 )
@@ -106,25 +109,28 @@ def test_softmax_of_integer_and_bool_scores_runs_in_float64(scores):
 @given(st.lists(st.floats(min_value=-100, max_value=100) | st.just(-np.inf), min_size=6, max_size=30),
        st.sampled_from([np.float32, np.float64]))
 @settings(max_examples=100, deadline=None)
-def test_softmax_logsumexp_inplace_equals_separate_calls(values, dtype):
+def test_exp_logsumexp_inplace_equals_separate_calls(values, dtype):
     s = np.array(values, dtype=dtype)[: len(values) // 3 * 3].reshape(3, -1)
     s[:, 0] = np.nan_to_num(s[:, 0], neginf=0.0)  # no fully masked row
     for axis, scores in ((-1, s), (0, np.ascontiguousarray(s.T))):
-        p, lse = softmax_logsumexp_inplace(scores.copy(), axis=axis)
-        assert np.array_equal(p, stable_softmax(scores, axis=axis))
+        e = scores.copy()
+        total, lse = exp_logsumexp_inplace(e, axis=axis)
+        assert np.array_equal(total, e.sum(axis=axis))
+        assert np.array_equal(e / np.expand_dims(total, axis), stable_softmax(scores, axis=axis))
         assert np.array_equal(lse, stable_logsumexp(scores, axis=axis))
 
 
-def test_softmax_logsumexp_inplace_errors():
+def test_exp_logsumexp_inplace_errors():
     # stable_softmax and stable_logsumexp raise through this one entry point
-    with pytest.raises(ValueError, match="NaN"):
-        softmax_logsumexp_inplace(np.array([[0.0, np.nan], [1.0, 2.0]]))
-    with pytest.raises(ValueError, match="fully masked"):
-        softmax_logsumexp_inplace(np.array([[0.0, 1.0], [-np.inf, -np.inf]]))
-    with pytest.raises(ValueError, match="empty"):
-        softmax_logsumexp_inplace(np.zeros((2, 0)))
-    with pytest.raises(ValueError, match="score overflow"):
-        softmax_logsumexp_inplace(np.array([[0.0, 1.0], [np.inf, -np.inf]], dtype=np.float32))
+    for fn in (exp_logsumexp_inplace, stable_softmax):
+        with pytest.raises(ValueError, match="NaN"):
+            fn(np.array([[0.0, np.nan], [1.0, 2.0]]))
+        with pytest.raises(ValueError, match="fully masked"):
+            fn(np.array([[0.0, 1.0], [-np.inf, -np.inf]]))
+        with pytest.raises(ValueError, match="empty"):
+            fn(np.zeros((2, 0)))
+        with pytest.raises(ValueError, match="score overflow"):
+            fn(np.array([[0.0, 1.0], [np.inf, -np.inf]], dtype=np.float32))
 
 
 def test_score_overflow_is_not_a_masked_row():
@@ -134,10 +140,10 @@ def test_score_overflow_is_not_a_masked_row():
     with pytest.raises(ValueError, match="score overflow"):
         stable_softmax(np.array([0.0, np.inf]), axis=-1)
     with pytest.raises(ValueError, match="score overflow"):
-        softmax_logsumexp_inplace(np.array([[0.0, 1.0], [np.inf, -np.inf]], dtype=np.float32))
+        exp_logsumexp_inplace(np.array([[0.0, 1.0], [np.inf, -np.inf]], dtype=np.float32))
     assert stable_logsumexp(np.array([-np.inf, -np.inf]), axis=-1) == -np.inf
     with pytest.raises(ValueError, match="fully masked"):
-        softmax_logsumexp_inplace(np.array([[-np.inf, -np.inf]]))
+        exp_logsumexp_inplace(np.array([[-np.inf, -np.inf]]))
 
 
 def test_make_rng_reproducible():
@@ -177,3 +183,18 @@ def test_check_tensor4_validation():
         check_tensor4(np.full((1, 1, 2, 2), np.nan), "x")
     with pytest.raises(ValueError, match="float32 or float64"):
         check_tensor4(np.zeros((1, 1, 2, 2), dtype=np.int64), "x")
+
+
+def test_bool_is_rejected_as_a_count_by_name():
+    # True is a numbers.Integral; as a count it ran as 1 (threads, seeds)
+    with pytest.raises(ValueError, match="x must be an integer, got True"):
+        check_integer(True, "x")
+    with pytest.raises(ValueError, match="c_q must be an integer, got True"):
+        MuseConfig(c_q=True)
+    q = np.zeros((1, 1, 4, 2))
+    with pytest.raises(ValueError, match="threads must be an integer, got True"):
+        attend(q, q, q, threads=True)
+    with pytest.raises(ValueError, match="seeds must be an integer, got True"):
+        error_sweep(WorkloadSpec(n=64), [MuseConfig(c_q=4, c_k=4)], seeds=True)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got False"):
+        check_seed(False)
