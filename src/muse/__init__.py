@@ -1,18 +1,12 @@
 """Clustered monopole+dipole approximation of softmax attention.
 
-Exact references (`attend`, `attend_causal`, `attend_sliding`), mergeable
-partial results, capacity-capped k-means, the two-stage clustered
-approximation with ablations, a hierarchical causal variant, synthetic
-workloads with a binary interchange format, and experiment drivers.
+Exact references (`attend`, `attend_causal`), mergeable partial results,
+capacity-capped k-means, the two-stage clustered approximation with
+ablations, a hierarchical causal variant, synthetic workloads with a binary
+interchange format, and experiment drivers.
 """
 
-from .attention import (
-    AttentionResult,
-    attend,
-    attend_causal,
-    attend_sliding,
-    merge_partials,
-)
+from .attention import AttentionResult, attend, attend_causal, merge_partials
 from .causal import CausalPlan, build_plan, causal_plan, muse_causal
 from .clustering import CentroidInit, Clustering, decompose, inertia, kmeans
 from .experiments import (
@@ -23,7 +17,6 @@ from .experiments import (
     error_sweep,
     fd_sensitivity,
     scaling_bench,
-    selftest,
 )
 from .multipole import (
     ABLATIONS,
@@ -52,7 +45,6 @@ __all__ = [
     "ablation_run",
     "attend",
     "attend_causal",
-    "attend_sliding",
     "build_plan",
     "causal_bench",
     "causal_plan",
@@ -73,7 +65,6 @@ __all__ = [
     "rel_sq_error",
     "save_qkv",
     "scaling_bench",
-    "selftest",
     "stable_logsumexp",
     "stable_softmax",
 ]

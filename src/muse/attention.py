@@ -105,15 +105,16 @@ def _bounded_rows(qs, ks, vs, prefix):
     return (q_norm * k_norm <= math.log(info.max) / 4) & (v_top < math.sqrt(info.max))
 
 
-def _attend(q, k, v, bias, scale, threads, window=None) -> AttentionResult:
-    """The one exact kernel behind `attend`, `attend_causal` and `attend_sliding`.
+def _attend(q, k, v, bias, scale, threads, causal=False) -> AttentionResult:
+    """The one exact kernel behind `attend` and `attend_causal`.
 
     Per (batch, head) slice it copies the values once into an (n_k, d + 1)
     array whose last column is ones, then walks query rows in tiles of TILE.
-    A tile sees only the keys its rows can see (all keys, or [lo - window + 1,
-    up) when windowed) and takes them in chunks of KEY_TILE columns. A chunk's
-    scores get the bias added in place and -inf written where key j is outside
-    row i's window (i - window < j <= i).
+    A tile sees only the keys its rows can see (all keys, or the prefix
+    [0, up) when causal) and takes them in chunks of KEY_TILE columns. A
+    chunk's scores get the bias added in place and, when causal, -inf written
+    where key j comes after row i; keys before the tile's first row are seen
+    by all its rows, so the mask starts at column lo.
 
     A row that `_bounded_rows` proves bounded exponentiates its scores as they
     are: per chunk, product, exp in place, and one product with the extended
@@ -138,8 +139,6 @@ def _attend(q, k, v, bias, scale, threads, window=None) -> AttentionResult:
         raise ValueError("scale must be positive and finite")
     b, h, n_q, d = q.shape
     n_k = k.shape[2]
-    if window is not None and n_q != n_k:
-        raise ValueError("masked variants require aligned positions (n_q == n_k)")
     y = np.empty((b, h, n_q, d), dtype=q.dtype)
     mu = np.empty((b, h, n_q), dtype=q.dtype)
 
@@ -150,7 +149,7 @@ def _attend(q, k, v, bias, scale, threads, window=None) -> AttentionResult:
         v1 = np.ones((n_k, d + 1), dtype=q.dtype)
         v1[:, :d] = v[bi, hi]
         if bias is None:
-            bs, bounded = None, _bounded_rows(qs, ks, v[bi, hi], prefix=window is not None)
+            bs, bounded = None, _bounded_rows(qs, ks, v[bi, hi], prefix=causal)
         else:  # the norms do not bound a biased score
             bs, bounded = bias[bi, hi].astype(q.dtype), np.zeros(n_q, dtype=bool)
 
@@ -158,20 +157,15 @@ def _attend(q, k, v, bias, scale, threads, window=None) -> AttentionResult:
             s = qs[lo:up] @ ks[c0:c1].T
             if bs is not None:
                 s += bs[c0:c1]
-            if window is not None:
-                # rows [lo, up) all see keys [up - window, lo], so a chunk that
-                # starts at or above up - window needs the mask from lo on only
-                m0 = c0 if c0 < up - window else max(c0, lo)
-                if m0 < c1:
-                    rows = np.arange(lo, up)[:, None]
-                    cols = np.arange(m0, c1)
-                    np.copyto(s[:, m0 - c0:], -np.inf, where=(cols > rows) | (cols <= rows - window))
+            if causal and lo < c1:  # every row of the tile sees the keys before lo
+                m0 = max(c0, lo)
+                np.copyto(s[:, m0 - c0:], -np.inf, where=np.arange(m0, c1) > np.arange(lo, up)[:, None])
             return s
 
         for lo in range(0, n_q, TILE):
             up = min(lo + TILE, n_q)
-            k0, k1 = (0, n_k) if window is None else (max(0, lo - window + 1), up)
-            chunks = [(c0, min(c0 + KEY_TILE, k1)) for c0 in range(k0, k1, KEY_TILE)]
+            k1 = up if causal else n_k
+            chunks = [(c0, min(c0 + KEY_TILE, k1)) for c0 in range(0, k1, KEY_TILE)]
             shift = None
             if not bounded[lo:up].all():
                 top = np.max([np.max(scores(lo, up, *c), axis=1) for c in chunks], axis=0)
@@ -206,16 +200,9 @@ def attend(q, k, v, bias=None, scale: float | None = None, threads: int = 1) -> 
 def attend_causal(q, k, v, scale: float | None = None, threads: int = 1) -> AttentionResult:
     """Causal attention: key j contributes to query i only if j <= i."""
     q, k, v, _ = _check_qkv(q, k, v, None)
-    return _attend(q, k, v, None, scale, threads, window=q.shape[2])
-
-
-def attend_sliding(q, k, v, window: int, scale: float | None = None, threads: int = 1) -> AttentionResult:
-    """Sliding-window attention: key j contributes to query i iff i - window < j <= i."""
-    check_integer(window, "window")
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    q, k, v, _ = _check_qkv(q, k, v, None)
-    return _attend(q, k, v, None, scale, threads, window=window)
+    if q.shape[2] != k.shape[2]:
+        raise ValueError(f"causal attention needs n_q == n_k, got {q.shape[2]} queries and {k.shape[2]} keys")
+    return _attend(q, k, v, None, scale, threads, causal=True)
 
 
 def merge_partials(parts: list[AttentionResult]) -> AttentionResult:

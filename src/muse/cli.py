@@ -1,7 +1,6 @@
 """Command-line benchmark harness.
 
 Subcommands:
-  selftest      exactness corners and merge invariance, exit 0 iff all pass
   error-sweep   approximation error over a cluster-count/iteration/cap grid
   ablate        the full method and three ablations on identical data
   bench         fixed-token-budget scaling comparison, exact vs clustered
@@ -19,13 +18,7 @@ import argparse
 import itertools
 import sys
 
-from .experiments import (
-    ablation_run,
-    causal_bench,
-    error_sweep,
-    scaling_bench,
-    selftest,
-)
+from .experiments import ablation_run, causal_bench, error_sweep, scaling_bench
 from .multipole import MuseConfig
 from .workloads import WorkloadSpec, generate, save_qkv
 
@@ -105,13 +98,6 @@ def _emit(report, args) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_selftest(args) -> int:
-    rows = selftest(dtype=args.dtype, seed=args.seed, threads=args.threads)
-    for name, passed, detail in rows:
-        print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
-    return 0 if all(p for _, p, _ in rows) else 1
-
-
 def _cmd_error_sweep(args) -> int:
     report = error_sweep(_workload_from_args(args), _configs_from_args(args),
                          seeds=args.seeds, threads=args.threads)
@@ -156,12 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="muse",
                                      description="clustered attention approximation benchmarks")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("selftest", help="exactness and invariance checks")
-    p.add_argument("--dtype", choices=["f32", "f64"], default="f64")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
-    p.set_defaults(fn=_cmd_selftest)
 
     p = sub.add_parser("error-sweep", help="error over a config grid")
     _add_workload_args(p)

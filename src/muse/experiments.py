@@ -21,7 +21,7 @@ from itertools import pairwise
 
 import numpy as np
 
-from .attention import AttentionResult, attend, attend_causal, merge_partials
+from .attention import AttentionResult, attend, attend_causal
 from .causal import causal_plan, muse_causal
 from .multipole import MuseConfig, cluster_tokens, muse_acausal, rel_sq_error
 from .numerics import check_integer, derive_seed
@@ -84,6 +84,8 @@ class ExperimentReport:
         return buf.getvalue()
 
     def save(self, path, fmt: str = "json", include_timing: bool = True) -> None:
+        if fmt not in ("json", "csv"):
+            raise ValueError(f"unknown report format {fmt!r}: expected 'json' or 'csv'")
         text = self.to_json(include_timing) if fmt == "json" else self.to_csv(include_timing)
         with open(path, "w") as f:
             f.write(text)
@@ -275,6 +277,10 @@ def fd_sensitivity(q, k, v, config: MuseConfig, direction, eps: float,
     direction = np.asarray(direction, dtype=q.dtype)
     if direction.shape != q.shape:
         raise ValueError("direction must match q's shape")
+    if not np.isfinite(direction).all():
+        raise ValueError("direction contains non-finite entries")
+    if not direction.any():
+        raise ValueError("direction must be nonzero")
     scale = config.resolve_scale(q.shape[3])
     clusters = cluster_tokens(q, k, config, threads=threads)
 
@@ -292,56 +298,3 @@ def fd_sensitivity(q, k, v, config: MuseConfig, direction, eps: float,
     gap = float(np.linalg.norm(muse_dd - exact_dd))
     return {"exact_dd": exact_dd, "muse_dd": muse_dd,
             "rel_gap": gap / denom if denom > 0 else np.inf}
-
-
-def selftest(dtype: str = "f64", seed: int = 0, threads: int = 1) -> list[tuple[str, bool, str]]:
-    """Exactness-corner and partition-invariance checks; returns one
-    (name, passed, detail) row per property."""
-    results = []
-    tol = 1e-10 if dtype == "f64" else 1e-4
-
-    spec = WorkloadSpec(kind="isotropic_gaussian", batch=1, heads=2, n=48, d=8,
-                        seed=seed, dtype=dtype)
-    q, k, v = generate(spec)
-    scale = 1.0 / np.sqrt(spec.d)
-    full = attend(q, k, v, scale=scale, threads=threads)
-
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(20):
-        bounds = sorted(rng.choice(np.arange(1, spec.n), size=2, replace=False))
-        pieces = np.split(np.arange(spec.n), bounds)
-        parts = [attend(q, k[:, :, idx], v[:, :, idx], scale=scale) for idx in pieces]
-        merged = merge_partials(parts)
-        worst = max(worst, rel_sq_error(full, merged))
-    results.append(("partition_invariance", worst <= (1e-20 if dtype == "f64" else 1e-8),
-                    f"max rel_sq_error {worst:.3e}"))
-
-    cfg = MuseConfig(c_q=spec.n, c_k=spec.n, kmeans_iters=2, seed=seed)
-    err = rel_sq_error(full, muse_acausal(q, k, v, cfg, threads=threads))
-    results.append(("exactness_one_cluster_per_token", err <= tol, f"rel_sq_error {err:.3e}"))
-
-    reps = spec.n // 4
-    q_rep = np.repeat(q[:, :, :4, :], reps, axis=2)
-    full_rep = attend(q_rep, k, v, scale=scale, threads=threads)
-    cfg = MuseConfig(c_q=4, c_k=8, kmeans_iters=5, seed=seed)
-    err = rel_sq_error(full_rep, muse_acausal(q_rep, k, v, cfg, threads=threads))
-    results.append(("exactness_zero_query_residuals", err <= tol, f"rel_sq_error {err:.3e}"))
-
-    cfg = MuseConfig(c_q=6, c_k=spec.n, kmeans_iters=2, seed=seed)
-    err = rel_sq_error(full, muse_acausal(q, k, v, cfg, threads=threads))
-    results.append(("exactness_singleton_key_clusters", err <= tol, f"rel_sq_error {err:.3e}"))
-
-    cspec = WorkloadSpec(kind="isotropic_gaussian", batch=1, heads=1, n=64, d=8,
-                         seed=seed + 1, dtype=dtype)
-    cq, ck, cv = generate(cspec)
-    ref = attend_causal(cq, ck, cv, scale=1.0 / np.sqrt(cspec.d), threads=threads)
-    # near_min=1 keeps the far-field blocks that the swap replaces (near = b = 16)
-    ccfg = MuseConfig(c_q=4, c_k=4, seed=seed, near_min=1)
-    swapped = causal_plan(cspec.n, 16, ccfg).muse_query_rows
-    swap = muse_causal(cq, ck, cv, ccfg, b=16, threads=threads,
-                       block_fn=lambda a, b_, c_: attend(a, b_, c_, scale=1.0 / np.sqrt(cspec.d)))
-    err = rel_sq_error(ref, swap)
-    results.append(("causal_structural_merge", swapped > 0 and err <= (1e-20 if dtype == "f64" else 1e-8),
-                    f"rel_sq_error {err:.3e} over {swapped} swapped rows"))
-    return results

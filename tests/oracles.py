@@ -69,21 +69,6 @@ def naive_attend_causal(q, k, v, scale=None):
     return y, mu
 
 
-def naive_attend_sliding(q, k, v, window, scale=None):
-    b, h, n, d = q.shape
-    y = np.zeros((b, h, n, d))
-    mu = np.zeros((b, h, n))
-    for bi in range(b):
-        for hi in range(h):
-            for i in range(n):
-                lo = max(0, i - window + 1)
-                yi, mi = naive_attend_slice(q[bi, hi, i:i + 1], k[bi, hi, lo:i + 1],
-                                            v[bi, hi, lo:i + 1], scale=scale)
-                y[bi, hi, i] = yi[0]
-                mu[bi, hi, i] = mi[0]
-    return y, mu
-
-
 def naive_merge(parts):
     """parts: list of (y, mu) with matching query shapes."""
     mus = np.stack([mu for _, mu in parts])

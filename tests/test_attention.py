@@ -10,16 +10,16 @@ from muse import (
     WorkloadSpec,
     attend,
     attend_causal,
-    attend_sliding,
     cluster_tokens,
     generate,
     merge_partials,
     muse_acausal,
     muse_causal,
+    rel_sq_error,
 )
 from muse.attention import KEY_TILE, TILE, AttentionResult
 
-from oracles import naive_attend, naive_attend_causal, naive_attend_slice, naive_attend_sliding, naive_merge
+from oracles import naive_attend, naive_attend_causal, naive_attend_slice, naive_merge
 
 
 def make_qkv(seed, b=1, h=1, n=12, d=4, dtype=np.float64):
@@ -131,9 +131,17 @@ def test_attend_shape_validation():
     with pytest.raises(ValueError, match="scale"):
         attend(q, k, v, scale=0.0)
     q, k, v = make_qkv(0, n=6, d=0)
-    for entry in (attend, attend_causal, lambda q, k, v: attend_sliding(q, k, v, window=2)):
+    for entry in (attend, attend_causal):
         with pytest.raises(ValueError, match="need d >= 1"):
             entry(q, k, v)
+
+
+def test_causal_entry_points_reject_unaligned_shapes():
+    q, k, v = make_qkv(1, n=8, d=3)
+    with pytest.raises(ValueError, match="causal attention needs n_q == n_k"):
+        attend_causal(q[:, :, :5], k, v)
+    with pytest.raises(ValueError, match="identical q/k/v shapes"):
+        muse_causal(q[:, :, :4], k, v, MuseConfig(c_q=2, c_k=2, seed=0), b=4)
 
 
 def test_attend_f32_dtype_and_tolerance():
@@ -195,39 +203,23 @@ def test_attend_causal_upper_triangle_inert():
     assert not np.array_equal(base.y[:, :, j:], bumped.y[:, :, j:])
 
 
-@pytest.mark.parametrize("window", [1, 3, 256])
-def test_attend_sliding_matches_naive(window):
-    q, k, v = make_qkv(14, n=12, d=4)
-    out = attend_sliding(q, k, v, window=window)
-    y, mu = naive_attend_sliding(q, k, v, window=window)
-    np.testing.assert_allclose(out.y, y, atol=1e-12)
-    np.testing.assert_allclose(out.mu, mu, atol=1e-12)
-
-
-def test_attend_sliding_window_one_is_self_attention():
-    q, k, v = make_qkv(15, n=7, d=3)
-    out = attend_sliding(q, k, v, window=1)
-    np.testing.assert_allclose(out.y, v, atol=1e-15)
-    with pytest.raises(ValueError, match="window"):
-        attend_sliding(q, k, v, window=0)
-    with pytest.raises(ValueError, match="window must be an integer"):
-        attend_sliding(q, k, v, window=1.5)
-
-
 @given(seed=st.integers(0, 10 ** 6), n_parts=st.integers(2, 5))
 @settings(max_examples=60, deadline=None)
 def test_partition_invariance(seed, n_parts):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(n_parts, 40))
     d = int(rng.integers(1, 8))
-    q, k, v = make_qkv(seed + 1, n=n, d=d)
-    perm = rng.permutation(n)
-    pieces = np.array_split(perm, n_parts)
-    full = attend(q, k, v)
-    parts = [attend(q, k[:, :, idx], v[:, :, idx]) for idx in pieces if len(idx)]
-    merged = merge_partials(parts)
-    np.testing.assert_allclose(merged.y, full.y, atol=1e-12)
-    np.testing.assert_allclose(merged.mu, full.mu, atol=1e-12)
+    pieces = np.array_split(rng.permutation(n), n_parts)
+    for dtype in (np.float64, np.float32):
+        q, k, v = make_qkv(seed + 1, n=n, d=d, dtype=dtype)
+        full = attend(q, k, v)
+        merged = merge_partials([attend(q, k[:, :, idx], v[:, :, idx]) for idx in pieces if len(idx)])
+        assert merged.y.dtype == dtype
+        if dtype == np.float64:
+            np.testing.assert_allclose(merged.y, full.y, atol=1e-12)
+            np.testing.assert_allclose(merged.mu, full.mu, atol=1e-12)
+        else:
+            assert rel_sq_error(full, merged) <= 1e-8
 
 
 def test_partition_invariance_f32():
@@ -304,7 +296,6 @@ def test_result_shape_validation():
 ENTRY_POINTS = {
     "attend": attend,
     "attend_causal": attend_causal,
-    "attend_sliding": lambda q, k, v, **kw: attend_sliding(q, k, v, window=3, **kw),
 }
 
 
@@ -344,7 +335,7 @@ def test_f32_score_overflow_is_not_reported_as_masking(entry):
 
 # Tile-boundary checks against the loop oracle. The oracle runs on the rows
 # next to every tile edge (plus the first and last), over the keys each row
-# sees, which is what naive_attend_sliding does for every row. Inputs are drawn
+# sees, which is what naive_attend_causal does for every row. Inputs are drawn
 # in f32 and upcast for the f64 calls, so one oracle serves both dtypes.
 BOUNDARY_NS = [TILE - 1, TILE, TILE + 1, 2 * TILE + 1, 1100]
 
@@ -354,13 +345,13 @@ def boundary_rows(n):
     return sorted({r for e in edges for r in (e - 1, e, e + 1) if 0 <= r < n} | {n - 1})
 
 
-def oracle_rows(q, k, v, rows, window=None, bias=None):
+def oracle_rows(q, k, v, rows, causal=False, bias=None):
     q, k, v = q[0, 0], k[0, 0], v[0, 0]
     y, mu = [], []
     for i in rows:
-        k0, k1 = (0, k.shape[0]) if window is None else (max(0, i - window + 1), i + 1)
-        bias_s = None if bias is None else bias[0, 0, k0:k1]
-        yi, mi = naive_attend_slice(q[i:i + 1], k[k0:k1], v[k0:k1], bias=bias_s)
+        k1 = i + 1 if causal else k.shape[0]
+        bias_s = None if bias is None else bias[0, 0, :k1]
+        yi, mi = naive_attend_slice(q[i:i + 1], k[:k1], v[:k1], bias=bias_s)
         y.append(yi[0])
         mu.append(mi[0])
     return np.array(y), np.array(mu)
@@ -397,21 +388,12 @@ def test_attend_at_tile_boundaries(n, masked):
 
 
 @pytest.mark.parametrize("n", BOUNDARY_NS)
-@pytest.mark.parametrize("window", [1, TILE - 1, TILE, TILE + 1, None])
-def test_causal_and_sliding_at_tile_boundaries(n, window):
+def test_causal_at_tile_boundaries(n):
     q, k, v = boundary_qkv(n)
     rows = boundary_rows(n)
-    want = oracle_rows(q, k, v, rows, window=n if window is None else window)
+    want = oracle_rows(q, k, v, rows, causal=True)
     for dtype in (np.float32, np.float64):
-        qd, kd, vd = (a.astype(dtype) for a in (q, k, v))
-        if window is None:
-            assert_rows_match(attend_causal(qd, kd, vd), rows, want, dtype)
-            # window = n is causal attention, bit for bit
-            slid = attend_sliding(qd, kd, vd, window=n)
-            causal = attend_causal(qd, kd, vd)
-            assert np.array_equal(slid.y, causal.y) and np.array_equal(slid.mu, causal.mu)
-        else:
-            assert_rows_match(attend_sliding(qd, kd, vd, window=window), rows, want, dtype)
+        assert_rows_match(attend_causal(*(a.astype(dtype) for a in (q, k, v))), rows, want, dtype)
 
 
 @pytest.mark.parametrize("j", [TILE - 1, TILE, TILE + 1])
@@ -521,20 +503,18 @@ def score_bound(dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("entry", ["attend_causal", "attend_sliding"])
 @pytest.mark.parametrize("t", [TILE - 1, TILE, TILE + 1])
-def test_strict_causality_across_the_bound(t, entry, dtype):
+def test_strict_causality_across_the_bound(t, dtype):
     # key and value t x 1e3 lift scale * |q_i| * max_{j <= i} |k_j| far above
     # L for every row i >= t, so those rows take the shifted route; rows < t,
     # in the same tile, must not see it
-    call = attend_causal if entry == "attend_causal" else lambda q, k, v: attend_sliding(q, k, v, window=TILE + 3)
     q, k, v = (a.astype(dtype) for a in boundary_qkv(2 * TILE + 1))
-    base = call(q, k, v)
+    base = attend_causal(q, k, v)
     k2, v2 = k.copy(), v.copy()
     k2[:, :, t] *= 1e3
     v2[:, :, t] *= 1e3
     assert 0.25 * np.linalg.norm(q[0, 0, t:], axis=1).min() * np.linalg.norm(k2[0, 0, t]) > score_bound(dtype)
-    bumped = call(q, k2, v2)
+    bumped = attend_causal(q, k2, v2)
     assert np.array_equal(base.y[:, :, :t], bumped.y[:, :, :t])
     assert np.array_equal(base.mu[:, :, :t], bumped.mu[:, :, :t])
     assert not np.array_equal(base.y[:, :, t], bumped.y[:, :, t])
@@ -567,13 +547,11 @@ def mixed_qkv(n, dtype, seed=30):
 
 
 MIXED_N = KEY_TILE + TILE + 1
-MIXED_WINDOW = KEY_TILE + 7  # a tile's keys span two chunks, from an unaligned k0
-# name: (call, the window the oracle applies, whether the call gets a bias)
+# name: (call, whether the oracle is causal, whether the call gets a bias)
 MIXED_CALLS = {
-    "attend": (attend, None, False),
-    "attend_bias": (attend, None, True),
-    "attend_causal": (attend_causal, MIXED_N, False),
-    "attend_sliding": (lambda q, k, v: attend_sliding(q, k, v, window=MIXED_WINDOW), MIXED_WINDOW, False),
+    "attend": (attend, False, False),
+    "attend_bias": (attend, False, True),
+    "attend_causal": (attend_causal, True, False),
 }
 
 
@@ -581,7 +559,7 @@ MIXED_CALLS = {
 @pytest.mark.parametrize("call", MIXED_CALLS)
 def test_mixed_tiles_and_key_chunks_match_oracle(call, dtype):
     q, k, v = mixed_qkv(MIXED_N, dtype)
-    fn, window, with_bias = MIXED_CALLS[call]
+    fn, causal, with_bias = MIXED_CALLS[call]
     kwargs = {}
     if with_bias:
         rng = np.random.default_rng(MIXED_N)
@@ -590,12 +568,7 @@ def test_mixed_tiles_and_key_chunks_match_oracle(call, dtype):
         bias[..., (0, KEY_TILE - 1, KEY_TILE)] = 0.0
         kwargs["bias"] = bias
     rows = boundary_rows(MIXED_N)
-    assert_rows_match(fn(q, k, v, **kwargs), rows, oracle_rows(q, k, v, rows, window=window, **kwargs), dtype)
-
-
-def entry_window(entry, n):
-    """The window the oracle applies for an ENTRY_POINTS call on n tokens."""
-    return {"attend": None, "attend_causal": n, "attend_sliding": 3}[entry]
+    assert_rows_match(fn(q, k, v, **kwargs), rows, oracle_rows(q, k, v, rows, causal=causal, **kwargs), dtype)
 
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
@@ -604,7 +577,7 @@ def test_f64_all_rows_unbounded_match_oracle(entry):
     q, k, v = (a.astype(np.float64) for a in boundary_qkv(n))
     q, k = 30 * q, 30 * k  # scale * |q| * |k| in the thousands, against L = 177
     rows = boundary_rows(n)
-    want = oracle_rows(q, k, v, rows, window=entry_window(entry, n))
+    want = oracle_rows(q, k, v, rows, causal=entry == "attend_causal")
     assert_rows_match(ENTRY_POINTS[entry](q, k, v), rows, want, np.float64)
 
 
@@ -619,5 +592,5 @@ def test_values_above_the_limit_take_the_shifted_route(dtype, top, v_scale):
     q, v = q.astype(dtype), v.astype(dtype)
     rows = list(range(9))
     for entry in ENTRY_POINTS:
-        want = oracle_rows(q, q, v, rows, window=entry_window(entry, 9))
+        want = oracle_rows(q, q, v, rows, causal=entry == "attend_causal")
         assert_rows_match(ENTRY_POINTS[entry](q, q, v), rows, want, dtype)

@@ -73,13 +73,16 @@ def test_plan_degenerate_single_block():
 def test_structural_merge_with_exact_blocks():
     # swapping exact attention into every below-diagonal block must
     # reproduce exact causal attention up to merge roundoff
-    q, k, v = make_qkv(0, n=128, d=6, b=2, h=2)
     cfg = MuseConfig(c_q=4, c_k=4, seed=0, near_min=1)
     assert causal_plan(128, 16, cfg).muse_query_rows > 0
-    out = muse_causal(q, k, v, cfg, b=16, block_fn=lambda qb, kb, vb: attend(qb, kb, vb))
-    ref = attend_causal(q, k, v)
-    assert rel_sq_error(ref, out) <= 1e-20
-    np.testing.assert_allclose(out.mu, ref.mu, atol=1e-12)
+    for dtype, tol in ((np.float64, 1e-20), (np.float32, 1e-8)):
+        q, k, v = make_qkv(0, n=128, d=6, b=2, h=2, dtype=dtype)
+        out = muse_causal(q, k, v, cfg, b=16, block_fn=lambda qb, kb, vb: attend(qb, kb, vb))
+        ref = attend_causal(q, k, v)
+        assert out.y.dtype == dtype
+        assert rel_sq_error(ref, out) <= tol
+        if dtype == np.float64:
+            np.testing.assert_allclose(out.mu, ref.mu, atol=1e-12)
 
 
 def test_block_fn_sees_strictly_lower_slices():

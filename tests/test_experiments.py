@@ -17,7 +17,6 @@ from muse import (
     generate,
     save_qkv,
     scaling_bench,
-    selftest,
 )
 
 SMALL_MIX = WorkloadSpec(kind="gaussian_mixture", n=256, d=8, c_true=8,
@@ -239,6 +238,17 @@ def test_fd_sensitivity_validation():
         fd_sensitivity(q, k, v, cfg, np.zeros((1, 1, 4, 4)), eps=1e-5)
 
 
+def test_fd_sensitivity_rejects_non_finite_or_zero_direction():
+    q, k, v = generate(WorkloadSpec(n=32, d=4, seed=0))
+    cfg = MuseConfig(c_q=4, c_k=4, seed=0)
+    direction = np.ones_like(q)
+    direction[0, 0, 3, 1] = np.nan
+    with pytest.raises(ValueError, match="direction contains non-finite entries"):
+        fd_sensitivity(q, k, v, cfg, direction, eps=1e-5)
+    with pytest.raises(ValueError, match="direction must be nonzero"):
+        fd_sensitivity(q, k, v, cfg, np.zeros_like(q), eps=1e-5)
+
+
 def test_fd_sensitivity_exact_at_corner():
     # with one cluster per token the approximation is exact, so both
     # directional derivatives coincide up to finite-difference noise
@@ -302,6 +312,14 @@ def test_report_save_roundtrip(tmp_path):
     assert cpath.read_text().startswith("label,")
 
 
+def test_report_save_rejects_unknown_format(tmp_path):
+    report = error_sweep(SMALL_MIX, [MuseConfig(c_q=8, c_k=8, seed=0)], seeds=1)
+    path = tmp_path / "r.xml"
+    with pytest.raises(ValueError, match="'xml'.*'json' or 'csv'"):
+        report.save(path, fmt="xml")
+    assert not path.exists()
+
+
 def test_report_validate_rejects_non_finite():
     report = ExperimentReport(kind="x", config={})
     report.rows.append(RunRecord(label="bad", c=1, iters=1, cap_ratio=1.5, seed=0,
@@ -309,14 +327,3 @@ def test_report_validate_rejects_non_finite():
                                  tokens_processed=1))
     with pytest.raises(ValueError, match="non-finite metric"):
         report.validate()
-
-
-@pytest.mark.parametrize("dtype", ["f64", "f32"])
-def test_selftest_all_pass(dtype):
-    rows = selftest(dtype=dtype, seed=0)
-    names = [name for name, _, _ in rows]
-    assert names == ["partition_invariance", "exactness_one_cluster_per_token",
-                     "exactness_zero_query_residuals", "exactness_singleton_key_clusters",
-                     "causal_structural_merge"]
-    for name, passed, detail in rows:
-        assert passed, f"{name}: {detail}"
