@@ -345,13 +345,15 @@ def boundary_rows(n):
     return sorted({r for e in edges for r in (e - 1, e, e + 1) if 0 <= r < n} | {n - 1})
 
 
-def oracle_rows(q, k, v, rows, causal=False, bias=None):
+def oracle_rows(q, k, v, rows, causal=False, bias=None, window=None):
+    """window, if given, keeps only the last `window` keys up to each row."""
     q, k, v = q[0, 0], k[0, 0], v[0, 0]
     y, mu = [], []
     for i in rows:
+        k0 = 0 if window is None else max(0, i - window + 1)
         k1 = i + 1 if causal else k.shape[0]
-        bias_s = None if bias is None else bias[0, 0, :k1]
-        yi, mi = naive_attend_slice(q[i:i + 1], k[:k1], v[:k1], bias=bias_s)
+        bias_s = None if bias is None else bias[0, 0, k0:k1]
+        yi, mi = naive_attend_slice(q[i:i + 1], k[k0:k1], v[k0:k1], bias=bias_s)
         y.append(yi[0])
         mu.append(mi[0])
     return np.array(y), np.array(mu)
@@ -387,11 +389,18 @@ def test_attend_at_tile_boundaries(n, masked):
         assert_rows_match(out, rows, want, dtype)
 
 
-@pytest.mark.parametrize("n", BOUNDARY_NS)
-def test_causal_at_tile_boundaries(n):
+# Causal attention is sliding-window attention whose window reaches key 0 from
+# every row: window None is the causal oracle, and each tile-edge window of at
+# least n tokens checks the same kernel against the windowed oracle.
+CAUSAL_WINDOWS = [(None, n) for n in BOUNDARY_NS] + [
+    (w, n) for n in BOUNDARY_NS for w in (TILE - 1, TILE, TILE + 1) if w >= n]
+
+
+@pytest.mark.parametrize("window, n", CAUSAL_WINDOWS)
+def test_causal_and_sliding_at_tile_boundaries(window, n):
     q, k, v = boundary_qkv(n)
     rows = boundary_rows(n)
-    want = oracle_rows(q, k, v, rows, causal=True)
+    want = oracle_rows(q, k, v, rows, causal=True, window=window)
     for dtype in (np.float32, np.float64):
         assert_rows_match(attend_causal(*(a.astype(dtype) for a in (q, k, v))), rows, want, dtype)
 
@@ -503,18 +512,20 @@ def score_bound(dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("entry", ["attend_causal"])
 @pytest.mark.parametrize("t", [TILE - 1, TILE, TILE + 1])
-def test_strict_causality_across_the_bound(t, dtype):
+def test_strict_causality_across_the_bound(t, entry, dtype):
     # key and value t x 1e3 lift scale * |q_i| * max_{j <= i} |k_j| far above
     # L for every row i >= t, so those rows take the shifted route; rows < t,
     # in the same tile, must not see it
+    call = ENTRY_POINTS[entry]
     q, k, v = (a.astype(dtype) for a in boundary_qkv(2 * TILE + 1))
-    base = attend_causal(q, k, v)
+    base = call(q, k, v)
     k2, v2 = k.copy(), v.copy()
     k2[:, :, t] *= 1e3
     v2[:, :, t] *= 1e3
     assert 0.25 * np.linalg.norm(q[0, 0, t:], axis=1).min() * np.linalg.norm(k2[0, 0, t]) > score_bound(dtype)
-    bumped = attend_causal(q, k2, v2)
+    bumped = call(q, k2, v2)
     assert np.array_equal(base.y[:, :, :t], bumped.y[:, :, :t])
     assert np.array_equal(base.mu[:, :, :t], bumped.mu[:, :, :t])
     assert not np.array_equal(base.y[:, :, t], bumped.y[:, :, t])
