@@ -6,7 +6,8 @@ assignment plus one recentering produce the segment-sorted layout the
 summary stages consume. The capped assignment runs in proposal rounds
 (`cap_assign`): tokens whose nearest centroid is over its cap compete for
 its room by margin, and the rejected ones move on to their nearest centroid
-with room left, found by one masked argmin per round. Everything is
+with room left, found by one masked argmin per round after the first.
+Cluster layouts sort their labels by radix. Everything is
 deterministic given the generator.
 """
 
@@ -51,10 +52,17 @@ class Clustering:
         return [rows[a:b] for a, b in pairwise(self.offsets.tolist())]
 
 
+def _stable_order(labels: np.ndarray, c: int) -> np.ndarray:
+    """Stable argsort of labels in [0, c). When c fits in int16 the labels are
+    sorted as int16, which numpy's stable sort does by radix: 4096 labels in
+    about 30 us against 160 us as int64 (one core of a 2-core host)."""
+    return np.argsort(labels.astype(np.int16) if c <= np.iinfo(np.int16).max else labels, kind="stable")
+
+
 def _layout(assign: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
     """(order, offsets) of labels in [0, c): a stable sort by cluster, so ids
     ascend within each cluster, and the c + 1 segment boundaries."""
-    order = np.argsort(assign, kind="stable")
+    order = _stable_order(assign, c)
     offsets = np.zeros(c + 1, dtype=np.int64)
     np.cumsum(np.bincount(assign, minlength=c), out=offsets[1:])
     return order, offsets
@@ -161,12 +169,14 @@ def cap_assign(x: np.ndarray, centroids: np.ndarray, cap: int) -> np.ndarray:
     centroid is the one with the smallest margin. Only tokens whose nearest
     centroid is over its cap compete, so only their margins are computed.
 
-    A round costs O(rejected x c): one argmin over each unplaced token's
-    distances to the centroids with room. Tokens that tie every distance all
-    propose to one centroid per round, so identical tokens with c close to n
-    take about c rounds: at n = 1024, d = 16 f32 (one core of a 2-core Xeon),
-    about 6 ms at c = 64, 250 ms at c = 512 and 490 ms at c = 1023, against
-    under 1 ms for 1024 Gaussian tokens at c = 64.
+    The first round's targets are the nearest centroids, which have room,
+    and each margin comes from the nearest distance and one masked row min.
+    A later round costs O(rejected x c): one argmin over each unplaced
+    token's distances to the centroids with room. Tokens that tie every
+    distance all propose to one centroid per round, so identical tokens with
+    c close to n take about c rounds: at n = 1024, d = 16 f32 (one core of a
+    2-core Xeon), about 6 ms at c = 64, 250 ms at c = 512 and 490 ms at
+    c = 1023, against under 1 ms for 1024 Gaussian tokens at c = 64.
     """
     x = np.asarray(x)
     n, c = x.shape[0], centroids.shape[0]
@@ -179,20 +189,27 @@ def cap_assign(x: np.ndarray, centroids: np.ndarray, cap: int) -> np.ndarray:
     if not over.any():
         return assign.astype(np.int64)  # caps non-binding: identical to uncapped (always when c == 1)
     tok = np.flatnonzero(over[assign])  # the competitors
-    top2 = np.sort(d2[tok], axis=1)  # a full sort of the short rows beats np.partition here
-    tok = tok[np.argsort(top2[:, 0] - top2[:, 1], kind="stable")]  # priority order, ties by id
+    # margin: the nearest distance minus the row min over the other centroids
+    rows, hit = d2[tok], (np.arange(tok.size), assign[tok])
+    nearest = rows[hit]
+    rows[hit] = np.inf
+    tok = tok[np.argsort(nearest - rows.min(axis=1), kind="stable")]  # priority order, ties by id
+    del rows
     room = np.where(over, cap, cap - counts)  # the non-competitors keep their nearest centroid
-    while tok.size:
-        target = np.where(room > 0, d2[tok], np.inf).argmin(axis=1)  # ties -> lowest id
+    # in the first round every competitor proposes to its nearest centroid, which has room cap
+    target = assign[tok]
+    while True:
         # each centroid accepts its proposals in priority order, up to its room
-        by = np.argsort(target, kind="stable")
+        by = _stable_order(target, c)
         grouped = target[by]
         rank = np.arange(by.size) - np.searchsorted(grouped, grouped)
         taken = rank < room[grouped]
         assign[tok[by[taken]]] = grouped[taken]
         room -= np.minimum(np.bincount(target, minlength=c), room)
         tok = tok[np.sort(by[~taken])]  # the rejected, back in priority order
-    return assign.astype(np.int64)
+        if not tok.size:
+            return assign.astype(np.int64)
+        target = np.where(room > 0, d2[tok], np.inf).argmin(axis=1)  # ties -> lowest id
 
 
 def kmeans(

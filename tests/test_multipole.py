@@ -146,12 +146,20 @@ def test_final_stage_matches_per_row_loop(dtype, with_dipoles):
     summaries = stage1(rng.normal(size=(len(sizes), d)).astype(dtype), joint(keys, vals))
     dipoles = aggregate_dipoles(summaries) if with_dipoles else None
     residuals = [(0.5 * rng.normal(size=(u, d))).astype(dtype) for u in sizes]
+    assert_final_stage_matches_row_loop(residuals, summaries, dipoles)
+
+
+def assert_final_stage_matches_row_loop(residuals, summaries, dipoles):
+    """`final_stage` against a float64 loop over the residual rows, within 32 eps
+    of their dtype."""
+    dtype = residuals[0].dtype
     y_rows, mu_rows = final_stage(residuals, summaries, dipoles)
-    assert y_rows.shape == (sum(sizes), d) and mu_rows.shape == (sum(sizes),)
+    n = sum(len(rc) for rc in residuals)
+    assert y_rows.shape == (n, residuals[0].shape[1]) and mu_rows.shape == (n,)
     assert y_rows.dtype == mu_rows.dtype == dtype
     tol = 32 * np.finfo(dtype).eps
     kbar, vbar, mu = (a.astype(np.float64) for a in (summaries.kbar, summaries.vbar, summaries.mu))
-    rows = iter(range(sum(sizes)))
+    rows = iter(range(n))
     for i, rc in enumerate(residuals):
         for r in rc.astype(np.float64):
             row = next(rows)
@@ -162,6 +170,78 @@ def test_final_stage_matches_per_row_loop(dtype, with_dipoles):
                 want_y += dipoles[i].astype(np.float64) @ r
             np.testing.assert_allclose(y_rows[row], want_y, rtol=tol, atol=tol)
             assert mu_rows[row] == pytest.approx(s.max() + np.log(e.sum()), rel=tol, abs=tol)
+
+
+def recorded_bounds(monkeypatch) -> list:
+    """The `bounded` masks that stage 1 and the final stage hand their shift
+    step, in call order: (c_q,) from stage 1, (c_q, U_max, 1) from the final stage."""
+    seen = []
+    shift = muse.multipole._shift_unbounded
+
+    def recording(s, bounded, axis):
+        seen.append(bounded.copy())
+        return shift(s, bounded, axis)
+
+    monkeypatch.setattr(muse.multipole, "_shift_unbounded", recording)
+    return seen
+
+
+# (dtype, which rows are scaled past the bound L = log(finfo.max) / 4, scale):
+# integer entries keep every score exact, and the scaled rows' scores reach
+# past log(finfo.max), so their exp overflows unless they are shifted
+BOUND_CASES = [(np.float64, "some", 200), (np.float32, "some", 50), (np.float32, "all", 50)]
+
+
+@pytest.mark.parametrize("dtype, rows, scale", BOUND_CASES)
+def test_stage1_both_sides_of_the_bound(monkeypatch, dtype, rows, scale):
+    # |qbar_i| max |k| <= sqrt(5) * 3 sqrt(5) = 15 <= L on an unscaled +-1 row
+    rng = np.random.default_rng(41)
+    d, c_q = 5, 6
+    qbar = rng.choice([-1.0, 1.0], size=(c_q, d))
+    big = np.arange(c_q) % 2 == 0 if rows == "some" else np.ones(c_q, dtype=bool)
+    qbar[big] *= scale
+    keys = [rng.integers(-3, 4, size=(u, d)).astype(float) for u in (3, 1, 6, 4)]
+    vals = [rng.normal(size=k.shape) for k in keys]
+    seen = recorded_bounds(monkeypatch)
+    out = stage1(qbar.astype(dtype), joint([k.astype(dtype) for k in keys], [v.astype(dtype) for v in vals]))
+    assert np.array_equal(seen[0], ~big)
+    tol = 32 * np.finfo(dtype).eps
+    for i in range(c_q):
+        for j, (kc, vc) in enumerate(zip(keys, vals, strict=True)):
+            s = kc @ qbar[i]
+            e = np.exp(s - s.max())
+            np.testing.assert_allclose(out.kbar[i, j], e @ kc / e.sum(), rtol=tol, atol=tol)
+            np.testing.assert_allclose(out.vbar[i, j], e @ vc / e.sum(), rtol=tol, atol=tol)
+            assert out.mu[i, j] == pytest.approx(s.max() + np.log(e.sum()), rel=tol, abs=tol)
+
+
+@pytest.mark.parametrize("dtype, rows, scale", BOUND_CASES)
+def test_final_stage_both_sides_of_the_bound(monkeypatch, dtype, rows, scale):
+    # |r| max |kbar| <= sqrt(5) * 2 sqrt(5) = 10 <= L on an unscaled +-1 row;
+    # integer mu keeps the biased scores exact too
+    rng = np.random.default_rng(42)
+    d, c_k = 5, 4
+    sizes = [1, 7, 3, 12, 1, 5]
+    summaries = muse.multipole.ClusterSummaries(
+        kbar=rng.integers(-2, 3, size=(len(sizes), c_k, d)).astype(dtype),
+        vbar=rng.normal(size=(len(sizes), c_k, d)).astype(dtype),
+        mu=rng.integers(-3, 4, size=(len(sizes), c_k)).astype(dtype),
+        cov_vk=rng.normal(size=(c_k, d, d)).astype(dtype))
+    residuals = [rng.choice([-1.0, 1.0], size=(u, d)) for u in sizes]
+    if rows == "some":  # all of cluster 1, one row of cluster 3
+        residuals[1] *= scale
+        residuals[3][4] *= scale
+    else:
+        residuals = [rc * scale for rc in residuals]
+    seen = recorded_bounds(monkeypatch)
+    assert_final_stage_matches_row_loop([rc.astype(dtype) for rc in residuals], summaries,
+                                        aggregate_dipoles(summaries))
+    real = np.arange(max(sizes)) < np.array(sizes)[:, None]
+    big = np.zeros(real.shape, dtype=bool)
+    for i, rc in enumerate(residuals):
+        big[i, :len(rc)] = np.abs(rc).max(axis=1) > 1
+    assert np.array_equal(seen[0][:, :, 0][real], ~big[real])
+    assert big[real].all() == (rows == "all") and big[real].any()
 
 
 def test_aggregate_dipoles_is_softmax_mixture():
@@ -219,6 +299,45 @@ def test_muse_matches_naive_restatement(run):
                              c_q, 7, scale=1 / np.sqrt(6), ablation=ablation)
     np.testing.assert_allclose(out.y[0, 0], y, atol=1e-12)
     np.testing.assert_allclose(out.mu[0, 0], mu, atol=1e-12)
+
+
+def test_muse_both_sides_of_the_bound_matches_naive(monkeypatch):
+    # query cluster 0 scaled by 300 puts its centroid and rows past L = 177 of
+    # float64, and one row of cluster 1 scaled by 150 puts that row alone past it
+    q, k, v = make_qkv(43, n=40, d=6)
+    clusters = fixed_clusters(44, 40, 5, 7)
+    labels = clusters.q_assign[0, 0]
+    q[0, 0, labels == 0] *= 300
+    q[0, 0, np.flatnonzero(labels == 1)[0]] *= 150
+    seen = recorded_bounds(monkeypatch)
+    out = muse_acausal(q, k, v, MuseConfig(c_q=5, c_k=7, seed=0), clusters=clusters)
+    y, mu = naive_muse_slice(q[0, 0], k[0, 0], v[0, 0], labels, clusters.k_assign[0, 0],
+                             5, 7, scale=1 / np.sqrt(6))
+    np.testing.assert_allclose(out.y[0, 0], y, atol=1e-12)
+    np.testing.assert_allclose(out.mu[0, 0], mu, atol=1e-12)
+    centroids, rows = seen[0], seen[1][:, :, 0]
+    assert not centroids[0] and centroids[1:].all()
+    assert not rows[0, 0] and not rows[1].all() and rows[1].any() and rows[2:].all()
+
+
+def test_muse_f32_shift_route_matches_naive(monkeypatch):
+    # queries scaled by 100 take every centroid and row past L = 22 of float32,
+    # with scores whose exp overflows unless they are shifted
+    q, k, v = make_qkv(45, n=40, d=6)
+    q *= 100
+    clusters = fixed_clusters(46, 40, 5, 7)
+    seen = recorded_bounds(monkeypatch)
+    out = muse_acausal(q.astype(np.float32), k.astype(np.float32), v.astype(np.float32),
+                       MuseConfig(c_q=5, c_k=7, seed=0), clusters=clusters)
+    sizes = np.bincount(clusters.q_assign[0, 0])
+    real = np.arange(sizes.max()) < sizes[:, None]  # the padded slots are zero rows, which pass
+    assert not seen[0].any() and not seen[1][:, :, 0][real].any()
+    y, mu = naive_muse_slice(q[0, 0], k[0, 0], v[0, 0], clusters.q_assign[0, 0], clusters.k_assign[0, 0],
+                             5, 7, scale=1 / np.sqrt(6))
+    want = AttentionResult(y=y[None, None], mu=mu[None, None])
+    assert np.abs(mu).max() > math.log(np.finfo(np.float32).max)
+    assert rel_sq_error(want, out) <= 1e-4
+    np.testing.assert_allclose(out.mu[0, 0], mu, rtol=1e-4)
 
 
 def test_muse_naive_agreement_multi_slice():
