@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import check_integer, check_score_max, check_tensor4, stable_logsumexp
+from .numerics import bounded_rows, check_integer, check_tensor4, max_shift, sq_norms, stable_logsumexp
 # perfbench/tracing.py wraps muse.attention.stable_softmax, so the name stays importable here
 from .numerics import stable_softmax  # noqa: F401
 
@@ -81,30 +81,6 @@ def _map_slices(fn, n_slices: int, threads: int):
             list(ex.map(fn, range(n_slices)))
 
 
-def _bounded_rows(qs, ks, vs, prefix):
-    """Mask of the rows whose scores need no max shift before exp.
-
-    Row i is bounded when |q_i| * max |k_j| <= L = log(finfo.max) / 4 (`qs` is
-    already scaled) and max |v_j| < sqrt(finfo.max), both maxima over the keys
-    the row can see: all keys, or the prefix j <= i when `prefix`, so a later
-    key never changes an earlier row's arithmetic. By Cauchy-Schwarz every
-    score of a bounded row lies in [-L, L], so its exps lie in [max**-1/4,
-    max**1/4]: they and their row sums can neither overflow nor go
-    subnormal, and their products with the values stay below max for any
-    n_k < max**1/4. Norms run in float64, so a large f32 input cannot
-    overflow them; it only fails the bound.
-    """
-    info = np.finfo(qs.dtype)
-    k_norm = np.sqrt(np.einsum("ij,ij->i", ks, ks, dtype=np.float64))
-    v_top = np.abs(vs).max(axis=1)
-    if prefix:
-        k_norm, v_top = np.maximum.accumulate(k_norm), np.maximum.accumulate(v_top)
-    else:
-        k_norm, v_top = k_norm.max(), v_top.max()
-    q_norm = np.sqrt(np.einsum("ij,ij->i", qs, qs, dtype=np.float64))
-    return (q_norm * k_norm <= math.log(info.max) / 4) & (v_top < math.sqrt(info.max))
-
-
 def _attend(q, k, v, bias, scale, threads, causal=False) -> AttentionResult:
     """The one exact kernel behind `attend` and `attend_causal`.
 
@@ -116,18 +92,19 @@ def _attend(q, k, v, bias, scale, threads, causal=False) -> AttentionResult:
     where key j comes after row i; keys before the tile's first row are seen
     by all its rows, so the mask starts at column lo.
 
-    A row that `_bounded_rows` proves bounded exponentiates its scores as they
+    A row that `bounded_rows` proves bounded, from the largest key and value
+    norms over the keys it can see (for a causal row the prefix j <= i, so a
+    later key never changes an earlier row), exponentiates its scores as they
     are: per chunk, product, exp in place, and one product with the extended
     values added into the tile's output, so each score is touched three times
     and chunks combine by plain addition. Calls with a bias bound no row. A
-    tile holding any other row first takes the row max over its chunks, where
-    the NaN, overflow and fully-masked checks run (`check_score_max`), and then
-    subtracts shift = max from those rows' scores (0 from bounded ones, which
-    leaves them bit for bit as in a tile of bounded rows) before exp. The last
-    column of the output is then each row's sum of exps (>= 1 on shifted rows,
-    since the max contributes exp(0); >= exp(-L) on bounded ones), so y =
-    out[:, :d] / out[:, d] and mu = shift + log(out[:, d]): normalising costs d
-    divisions per row, not n_k. Rows are independent, so neither the tiling
+    tile holding any other row first takes the row max over its chunks, which
+    `max_shift` checks and turns into the shift (0 on bounded rows, which
+    leaves them bit for bit as in a tile of bounded rows) subtracted before
+    exp. The last column of the output is then each row's sum of exps (>= 1
+    on shifted rows, since the max contributes exp(0); >= exp(-L) on bounded
+    ones), so y = out[:, :d] / out[:, d] and mu = shift + log(out[:, d]):
+    normalising costs d divisions per row, not n_k. Rows are independent, so neither the tiling
     nor the chunking changes a row's result beyond matmul reassociation. One
     TILE x KEY_TILE score block is alive at a time (the max pass recomputes
     the chunks rather than keep them), so a slice's peak is that block plus
@@ -149,7 +126,9 @@ def _attend(q, k, v, bias, scale, threads, causal=False) -> AttentionResult:
         v1 = np.ones((n_k, d + 1), dtype=q.dtype)
         v1[:, :d] = v[bi, hi]
         if bias is None:
-            bs, bounded = None, _bounded_rows(qs, ks, v[bi, hi], prefix=causal)
+            kv_sq = np.stack((sq_norms(ks), sq_norms(v[bi, hi])))
+            kv_sq = np.maximum.accumulate(kv_sq, axis=1) if causal else kv_sq.max(axis=1)
+            bs, bounded = None, bounded_rows(sq_norms(qs), *kv_sq, q.dtype)
         else:  # the norms do not bound a biased score
             bs, bounded = bias[bi, hi].astype(q.dtype), np.zeros(n_q, dtype=bool)
 
@@ -166,11 +145,8 @@ def _attend(q, k, v, bias, scale, threads, causal=False) -> AttentionResult:
             up = min(lo + TILE, n_q)
             k1 = up if causal else n_k
             chunks = [(c0, min(c0 + KEY_TILE, k1)) for c0 in range(0, k1, KEY_TILE)]
-            shift = None
-            if not bounded[lo:up].all():
-                top = np.max([np.max(scores(lo, up, *c), axis=1) for c in chunks], axis=0)
-                check_score_max(top)
-                shift = np.where(bounded[lo:up], 0, top)
+            shift = max_shift(bounded[lo:up],
+                              lambda: np.max([np.max(scores(lo, up, *c), axis=1) for c in chunks], axis=0))
             out = np.zeros((up - lo, d + 1), dtype=q.dtype)
             for c0, c1 in chunks:
                 s = scores(lo, up, c0, c1)

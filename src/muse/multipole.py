@@ -8,15 +8,15 @@ cluster, then refine each residual query against the summaries.
 `final_stage` is the monopole-plus-dipole formula alone; `muse_acausal`
 applies the `MuseConfig.ablation` around it.
 
-Both stages take the exact kernel's bounded route: a row whose norms bound
-its scores to [-L, L], L = log(finfo.max) / 4 (a query centroid in stage 1,
-a residual in the final stage, which adds its logsumexp bias as
-mu - max_j mu), is exponentiated as it stands, and only the other rows
-take a max pass and subtract their max. Neither stage normalises its
-exponentials: each takes their sums from a product with a ones vector and
-divides their product with the (tilted) values by the sums, as the exact
-kernel does. On ordinary inputs no max, subtract or sum pass runs over the
-scores.
+Both stages take the exact kernel's bounded route, `numerics.bounded_rows`
+and `numerics.max_shift`: a row whose norms bound its scores to [-L, L],
+L = log(finfo.max) / 4 (a query centroid in stage 1, a residual in the
+final stage, which adds its logsumexp bias as mu - max_j mu), is
+exponentiated as it stands, and only the other rows take a max pass and
+subtract their max. Neither stage normalises its exponentials: each takes
+their sums from a product with a ones vector and divides their product with
+the (tilted) values by the sums, as the exact kernel does. On ordinary
+inputs no max, subtract or sum pass runs over the scores.
 
 The summaries are exact per-cluster attention results for the query
 centroids, so the whole construction inherits the merge identity: with one
@@ -32,7 +32,8 @@ import numpy as np
 
 from .attention import AttentionResult, _check_qk, _check_qkv, _map_slices
 from .clustering import Clustering, clustering_from_assignments, decompose, kmeans
-from .numerics import check_integer, check_score_max, check_seed, derive_seed, make_rng, stable_softmax
+from .numerics import (bounded_rows, check_integer, check_seed, derive_seed, make_rng, max_shift, sq_norms,
+                       stable_softmax)
 # perfbench/tracing.py wraps muse.multipole.stable_logsumexp, so the name stays importable here
 from .numerics import stable_logsumexp  # noqa: F401
 
@@ -91,12 +92,16 @@ class ClusterSummaries:
     query centroid i; mu[i, j] is the logsumexp of the centroid's scores over
     cluster j. cov_vk[j][a, b] is the untilted value-key covariance
     (1/U_j) sum (v - vbar_j)_a (k - kbar_j)_b with plain member means.
+    kv_sq holds the largest squared key and value norms over all clusters,
+    which bound every squared kbar and vbar norm (convex combinations of
+    them) up to rounding.
     """
 
     kbar: np.ndarray  # (c_q, c_k, d)
     vbar: np.ndarray  # (c_q, c_k, d)
     mu: np.ndarray  # (c_q, c_k)
     cov_vk: np.ndarray  # (c_k, d, d)
+    kv_sq: np.ndarray  # (2,)
 
 
 def _padded(groups: list) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -115,41 +120,6 @@ def _padded(groups: list) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     return out, real, pad, sizes
 
 
-def _sq_norms(x: np.ndarray) -> np.ndarray:
-    """Squared norms over the last axis, in x's dtype: an f32 norm that
-    overflows is inf and so fails any bound it is held to."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.einsum("...i,...i->...", x, x)
-
-
-def _bounded(row_sq, col_sq_max, read_sq_max, dtype) -> np.ndarray:
-    """Mask of the rows whose scores need no max shift before exp, the rule
-    of the exact kernel's `_bounded_rows`: row i is bounded when
-    |x_i| * max |y| <= L = log(finfo.max) / 4, from the squared norms
-    `row_sq` of the rows and `col_sq_max` of the vectors they are scored
-    against, and every entry the exponentials multiply is below
-    sqrt(finfo.max), which `read_sq_max`, a largest squared norm, bounds.
-    Every score of a bounded row then lies in [-L, L]. NaN fails both tests."""
-    info = np.finfo(dtype)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return (row_sq * col_sq_max <= (math.log(info.max) / 4) ** 2) & (read_sq_max < info.max)
-
-
-def _shift_unbounded(s: np.ndarray, bounded: np.ndarray, axis: int) -> np.ndarray | None:
-    """Subtract from the scores of each row that is not `bounded` its max
-    along `axis`, in place, after `check_score_max` has checked every row's
-    max, and return the shifts, 0 on bounded rows, with `axis` kept at length
-    1; return None, touching nothing, when every row is bounded. `bounded`
-    broadcasts against the shifts."""
-    if bounded.all():
-        return None
-    hi = np.max(s, axis=axis, keepdims=True)
-    check_score_max(hi)
-    shift = np.where(bounded, 0, hi)
-    s -= shift
-    return shift
-
-
 def stage1(qbar: np.ndarray, key_clusters: list) -> ClusterSummaries:
     """Tilted summaries: for each (i, j) pair, attend from query centroid i to
     the full contents of key cluster j, recording the logsumexp, the tilted
@@ -159,8 +129,8 @@ def stage1(qbar: np.ndarray, key_clusters: list) -> ClusterSummaries:
     Each block of `key_clusters` is one key cluster's (U_j, 2d) rows: the key
     in the first d columns, its value in the last d, so one tilted product
     gives both centroids. qbar rows are already in scaled score units; padded
-    slots carry -inf. A centroid whose scores the norms bound is
-    exponentiated without a max shift.
+    slots carry -inf. A centroid that `bounded_rows` bounds is exponentiated
+    without a max shift; the others take theirs from `max_shift`.
     """
     d = qbar.shape[1]
     widths = sorted({kv.shape[-1] for kv in key_clusters})
@@ -173,8 +143,8 @@ def stage1(qbar: np.ndarray, key_clusters: list) -> ClusterSummaries:
     c_k, u_max, _ = kvpad.shape
     # the largest squared key and value norms: the scores need the first, and the
     # product below multiplies the exponentials with keys and values alike
-    kv_sq = _sq_norms(kvpad.reshape(-1, 2, d)).max(axis=0)
-    bounded = _bounded(_sq_norms(qbar), kv_sq[0], kv_sq.max(), np.result_type(qbar, kvpad))
+    kv_sq = sq_norms(kvpad.reshape(-1, 2, d)).max(axis=0)
+    bounded = bounded_rows(sq_norms(qbar), kv_sq[0], kv_sq.max(), np.result_type(qbar, kvpad))
     # scores laid out (c_k, U, c_q) from one GEMM; the padded slots are whole rows
     # of the flat (c_k U, c_q) scores. The scores of bounded centroids are
     # exponentiated as they stand, the others after their max shift. The
@@ -186,7 +156,9 @@ def stage1(qbar: np.ndarray, key_clusters: list) -> ClusterSummaries:
     s = kvpad.reshape(-1, 2 * d)[:, :d] @ qbar.T
     s[pad] = -np.inf
     s = s.reshape(c_k, u_max, -1)
-    shift = _shift_unbounded(s, bounded, axis=1)
+    shift = max_shift(bounded, lambda: s.max(axis=1, keepdims=True))
+    if shift is not None:
+        s -= shift
     np.exp(s, out=s)
     total = np.matmul(np.ones(u_max, dtype=s.dtype), s)
     kvbar = np.empty((qbar.shape[0], c_k, 2 * d), dtype=s.dtype)
@@ -201,7 +173,7 @@ def stage1(qbar: np.ndarray, key_clusters: list) -> ClusterSummaries:
     dkv = kvpad - kvpad.sum(axis=1, keepdims=True) / counts
     dkv.reshape(-1, 2 * d)[pad] = 0
     cov_vk = np.matmul(dkv[:, :, d:].transpose(0, 2, 1), dkv[:, :, :d]) / counts
-    return ClusterSummaries(kbar=kvbar[:, :, :d], vbar=kvbar[:, :, d:], mu=mu, cov_vk=cov_vk)
+    return ClusterSummaries(kbar=kvbar[:, :, :d], vbar=kvbar[:, :, d:], mu=mu, cov_vk=cov_vk, kv_sq=kv_sq)
 
 
 def aggregate_dipoles(summaries: ClusterSummaries) -> np.ndarray:
@@ -220,10 +192,11 @@ def final_stage(residual_clusters: list, summaries: ClusterSummaries,
     Scores are S_j = qres . kbar[i, j] + mu[i, j] (the logsumexp bias applies
     the per-cluster mass in log space), computed as S_j - max_j mu[i, j]; the
     output is the softmax combination of the tilted value centroids, taken as
-    sum_j exp(S_j) vbar[i, j] over sum_j exp(S_j) (after the max shift on a
-    row that fails the bound), plus the dipole correction
+    sum_j exp(S_j) vbar[i, j] over sum_j exp(S_j), plus the dipole correction
     qres . dipoles[i]^T contracted over the key index, left out when
-    `dipoles` is None. Residuals are already in scaled units.
+    `dipoles` is None. Residuals are already in scaled units. A residual that
+    `bounded_rows` bounds by `summaries.kv_sq` is exponentiated as it stands;
+    the others take their shift from `max_shift`.
 
     Returns the (y rows, mu rows) of all residuals in cluster order, as flat
     (n, d) and (n,) arrays.
@@ -232,20 +205,24 @@ def final_stage(residual_clusters: list, summaries: ClusterSummaries,
     kbar, vbar, mu = summaries.kbar, summaries.vbar, summaries.mu
     c_q, u_max, d = rpad.shape
     c_k = kbar.shape[1]
-    # the bias mu - max_j mu is at most 0 and exactly 0 at the largest mu, so a
-    # row whose |r . kbar| <= L has its largest biased score in [-L, L]; a
-    # cluster whose mu has no finite max bounds no row and fails in the checks
+    # stage 1's norm maxima bound kbar and vbar up to rounding, which the 4x
+    # margin in L absorbs. The bias mu - max_j mu is at most 0 and exactly 0 at
+    # the largest mu, so a row whose |r . kbar| <= L has its largest biased
+    # score in [-L, L]; a cluster whose mu has no finite max bounds no row and
+    # fails in the checks
     top = mu.max(axis=1)
     finite = np.isfinite(top)
-    bounded = _bounded(_sq_norms(rpad), _sq_norms(kbar).max(axis=1)[:, None], _sq_norms(vbar).max(),
-                       np.result_type(rpad, kbar)) & finite[:, None]
+    bounded = bounded_rows(sq_norms(rpad), summaries.kv_sq[0], summaries.kv_sq[1],
+                           np.result_type(rpad, kbar)) & finite[:, None]
     # scores laid out (c_q, U, c_k) from one batched product; the y product and
     # the sums over c_k, one product with a ones vector, read them as they lie,
     # and y is divided by the sums, d divisions per row in place of c_k. The
     # bias is made in C order, so that its add runs along c_k.
     s = np.matmul(rpad, kbar.transpose(0, 2, 1))
     s += np.subtract(mu, np.where(finite, top, 0)[:, None], order="C")[:, None, :]
-    shift = _shift_unbounded(s, bounded[:, :, None], axis=2)
+    shift = max_shift(bounded[:, :, None], lambda: s.max(axis=2, keepdims=True))
+    if shift is not None:
+        s -= shift
     np.exp(s, out=s)
     total = (s.reshape(-1, c_k) @ np.ones(c_k, dtype=s.dtype)).reshape(c_q, u_max)
     y = np.matmul(s, vbar)

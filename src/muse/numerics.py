@@ -1,4 +1,5 @@
-"""Dense-tensor substrate: dtype handling, stable reductions, seeded RNG.
+"""Dense-tensor substrate: dtype handling, stable reductions, the score bound
+and max shift behind every softmax in the package, seeded RNG.
 
 All attention carriers are plain numpy arrays of shape (batch, heads, n, d),
 row-major. Scores may contain -inf as a mask sentinel; NaN is never legal.
@@ -6,6 +7,7 @@ row-major. Scores may contain -inf as a mask sentinel; NaN is never legal.
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -100,16 +102,52 @@ def stable_softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
     return p
 
 
-def check_score_max(hi: np.ndarray) -> None:
-    """Raise unless every entry of `hi`, a max over scores, is finite: NaN
-    (max propagates NaN, so this sees every NaN score), +inf (the scores
-    overflowed; not a mask) and -inf (every score of the slice is masked)."""
+def sq_norms(x: np.ndarray) -> np.ndarray:
+    """Squared norms over the last axis, in x's dtype, from one pass with no
+    full-size temporary: an f32 norm that overflows is inf and so fails any
+    bound it is held to."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.einsum("...i,...i->...", x, x)
+
+
+def bounded_rows(row_sq, col_sq_max, read_sq_max, dtype) -> np.ndarray:
+    """Mask of the rows whose scores need no max shift before exp.
+
+    Row i is bounded when |x_i| * max |y| <= L = log(finfo.max) / 4, from
+    the squared norms `row_sq` of the rows and `col_sq_max` of the vectors
+    they are scored against, and every entry that the exponentials multiply
+    is below sqrt(finfo.max), which `read_sq_max`, a largest squared norm,
+    bounds. By Cauchy-Schwarz every score of a bounded row lies in [-L, L],
+    so its exps lie in [max**-1/4, max**1/4]: they and their row sums can
+    neither overflow nor go subnormal, and their products with the entries
+    stay below max for any row length under max**1/4. The arguments
+    broadcast; NaN and an overflowed (inf) norm fail the bound.
+    """
+    info = np.finfo(dtype)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (row_sq * col_sq_max <= (math.log(info.max) / 4) ** 2) & (read_sq_max < info.max)
+
+
+def max_shift(bounded, row_max) -> np.ndarray | None:
+    """The shift that scores take before exp: None when every row is
+    `bounded`, without calling `row_max`; else the rows' score maxima that
+    `row_max()` returns, with 0 in place of the bounded rows' maxima.
+
+    Raises unless every maximum is finite: on NaN (max propagates NaN, so
+    this sees every NaN score), +inf (the scores overflowed; not a mask) and
+    -inf (every score of the row is masked). `bounded` broadcasts against
+    the maxima; False bounds no row.
+    """
+    if np.all(bounded):
+        return None
+    hi = row_max()
     if np.isnan(hi).any():
         raise ValueError("NaN in the scores")
     if (hi == np.inf).any():
         raise ValueError("score overflow: +inf in the scores (input norms too large for the dtype)")
     if not np.isfinite(hi).all():
         raise ValueError("fully masked row")
+    return np.where(bounded, 0, hi)
 
 
 def exp_logsumexp_inplace(scores: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
@@ -121,13 +159,12 @@ def exp_logsumexp_inplace(scores: np.ndarray, axis: int = -1) -> tuple[np.ndarra
     or divides a product of the exponentials, which is cheaper when the
     product is narrower. Returns (sums, max + log(sums)), both with `axis`
     removed; -inf entries map to exactly 0. Raises on an empty reduction, and
-    through `check_score_max` on NaN input, a +inf score (overflow), or a
-    fully masked (all -inf) slice.
+    as `max_shift` does, with no row bounded, on NaN input, a +inf score
+    (overflow), or a fully masked (all -inf) slice.
     """
     if scores.shape == () or scores.shape[axis] == 0:
         raise ValueError("empty reduction")
-    hi = np.max(scores, axis=axis, keepdims=True)
-    check_score_max(hi)
+    hi = max_shift(False, lambda: np.max(scores, axis=axis, keepdims=True))
     np.subtract(scores, hi, out=scores)
     np.exp(scores, out=scores)
     total = np.sum(scores, axis=axis, keepdims=True)

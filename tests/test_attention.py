@@ -592,15 +592,20 @@ def test_f64_all_rows_unbounded_match_oracle(entry):
     assert_rows_match(ENTRY_POINTS[entry](q, k, v), rows, want, np.float64)
 
 
-@pytest.mark.parametrize("dtype, top, v_scale", [(np.float32, 20.0, 1e31), (np.float64, 170.0, 1e250)])
+@pytest.mark.parametrize("dtype, top, v_scale", [(np.float32, 20.0, 1e31), (np.float64, 170.0, 1e250),
+                                                 (np.float32, 20.0, 7e18)])
 def test_values_above_the_limit_take_the_shifted_route(dtype, top, v_scale):
     # k = q and scale * |q_i| |k_j| = top < L, so the norms alone would skip the
-    # shift; exp(top) * v_scale overflows the dtype, so the values must not allow it
+    # shift; exp(top) * v_scale overflows the dtype, so the values must not allow it.
+    # At 7e18 every |v| entry is below sqrt(finfo.max), but a squared value norm
+    # overflows the dtype, which fails the bound too
     rng = np.random.default_rng(32)
     q = rng.normal(size=(1, 1, 9, 4))
     q *= np.sqrt(2 * top) / np.linalg.norm(q, axis=-1, keepdims=True)  # scale = 1 / sqrt(4)
     v = v_scale * rng.normal(size=(1, 1, 9, 4))
     q, v = q.astype(dtype), v.astype(dtype)
+    with np.errstate(over="ignore"):
+        assert np.abs(v).max() >= np.sqrt(np.finfo(dtype).max) or np.isinf(np.sum(v * v, axis=-1)).any()
     rows = list(range(9))
     for entry in ENTRY_POINTS:
         want = oracle_rows(q, q, v, rows, causal=entry == "attend_causal")

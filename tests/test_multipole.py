@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import muse.clustering
 import muse.multipole
@@ -176,13 +178,13 @@ def recorded_bounds(monkeypatch) -> list:
     """The `bounded` masks that stage 1 and the final stage hand their shift
     step, in call order: (c_q,) from stage 1, (c_q, U_max, 1) from the final stage."""
     seen = []
-    shift = muse.multipole._shift_unbounded
+    shift = muse.multipole.max_shift
 
-    def recording(s, bounded, axis):
+    def recording(bounded, row_max):
         seen.append(bounded.copy())
-        return shift(s, bounded, axis)
+        return shift(bounded, row_max)
 
-    monkeypatch.setattr(muse.multipole, "_shift_unbounded", recording)
+    monkeypatch.setattr(muse.multipole, "max_shift", recording)
     return seen
 
 
@@ -218,15 +220,18 @@ def test_stage1_both_sides_of_the_bound(monkeypatch, dtype, rows, scale):
 @pytest.mark.parametrize("dtype, rows, scale", BOUND_CASES)
 def test_final_stage_both_sides_of_the_bound(monkeypatch, dtype, rows, scale):
     # |r| max |kbar| <= sqrt(5) * 2 sqrt(5) = 10 <= L on an unscaled +-1 row;
-    # integer mu keeps the biased scores exact too
+    # integer mu keeps the biased scores exact too. The summaries' norm maxima
+    # are those of their own kbar and vbar
     rng = np.random.default_rng(42)
     d, c_k = 5, 4
     sizes = [1, 7, 3, 12, 1, 5]
+    kbar = rng.integers(-2, 3, size=(len(sizes), c_k, d)).astype(dtype)
+    vbar = rng.normal(size=(len(sizes), c_k, d)).astype(dtype)
     summaries = muse.multipole.ClusterSummaries(
-        kbar=rng.integers(-2, 3, size=(len(sizes), c_k, d)).astype(dtype),
-        vbar=rng.normal(size=(len(sizes), c_k, d)).astype(dtype),
+        kbar=kbar, vbar=vbar,
         mu=rng.integers(-3, 4, size=(len(sizes), c_k)).astype(dtype),
-        cov_vk=rng.normal(size=(c_k, d, d)).astype(dtype))
+        cov_vk=rng.normal(size=(c_k, d, d)).astype(dtype),
+        kv_sq=np.array([(kbar * kbar).sum(axis=-1).max(), (vbar * vbar).sum(axis=-1).max()]))
     residuals = [rng.choice([-1.0, 1.0], size=(u, d)) for u in sizes]
     if rows == "some":  # all of cluster 1, one row of cluster 3
         residuals[1] *= scale
@@ -242,6 +247,27 @@ def test_final_stage_both_sides_of_the_bound(monkeypatch, dtype, rows, scale):
         big[i, :len(rc)] = np.abs(rc).max(axis=1) > 1
     assert np.array_equal(seen[0][:, :, 0][real], ~big[real])
     assert big[real].all() == (rows == "all") and big[real].any()
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), dtype=st.sampled_from([np.float32, np.float64]),
+       c_q=st.integers(1, 6), sizes=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+       d=st.integers(1, 8), q_scale=st.sampled_from([0.1, 1.0, 30.0, 1e3]))
+def test_stage1_norm_maxima_bound_the_tilted_centroids(seed, dtype, c_q, sizes, d, q_scale):
+    # a tilted centroid is a convex combination of its cluster's keys (values), so
+    # its squared norm is at most the largest squared key (value) norm, up to rounding;
+    # a large q_scale concentrates the tilt on one key, and also takes the shifted
+    # route. (Near-identical keys at the largest norm round further: 16 f32 eps at
+    # U = 100, still far inside the 4x margin of the score bound.)
+    rng = np.random.default_rng(seed)
+    keys = [rng.normal(size=(u, d)).astype(dtype) for u in sizes]
+    vals = [(3 * rng.normal(size=(u, d))).astype(dtype) for u in sizes]
+    out = stage1((q_scale * rng.normal(size=(c_q, d))).astype(dtype), joint(keys, vals))
+    eps = np.finfo(dtype).eps
+    assert out.kv_sq.dtype == dtype
+    for bar, kv_sq, rows in ((out.kbar, out.kv_sq[0], keys), (out.vbar, out.kv_sq[1], vals)):
+        assert kv_sq == pytest.approx(max((r * r).sum(axis=1).max() for r in rows), rel=8 * eps)
+        assert ((bar * bar).sum(axis=-1) <= kv_sq * (1 + 8 * eps)).all()
 
 
 def test_aggregate_dipoles_is_softmax_mixture():
