@@ -1,13 +1,16 @@
 """Capped K-means over token vectors.
 
-Initialization samples points proportional to their squared norm, a fixed
-number of uncapped Lloyd iterations follow, and a final capacity-capped
-assignment plus one recentering produce the segment-sorted layout the
-summary stages consume. The capped assignment runs in proposal rounds
-(`cap_assign`): tokens whose nearest centroid is over its cap compete for
-its room by margin, and the rejected ones move on to their nearest centroid
-with room left, found by one masked argmin per round after the first.
-Cluster layouts sort their labels by radix. Everything is
+k-means works on the tokens less their mean. Initialization samples points
+proportional to their squared norm there (Gumbel-top-k), a fixed number of
+uncapped Lloyd iterations follow, and a final capacity-capped assignment
+plus one recentering on the tokens as given produce the segment-sorted
+layout the summary stages consume. Every pass ranks centroids by the scores
+||c||^2 - 2 x.c, one product per pass; only the empty-cluster repair, which
+compares tokens, computes full distances. The capped assignment runs in
+proposal rounds (`cap_assign`): tokens whose nearest centroid is over its
+cap compete for its room by margin, and the rejected ones move on to their
+nearest centroid with room left, found by one masked argmin per round after
+the first. Cluster layouts sort their labels by radix. Everything is
 deterministic given the generator.
 """
 
@@ -18,6 +21,8 @@ from dataclasses import dataclass, field
 from itertools import pairwise
 
 import numpy as np
+
+from .numerics import sq_norms
 
 
 @dataclass
@@ -94,56 +99,64 @@ def clustering_from_assignments(x: np.ndarray, assign: np.ndarray, c: int) -> Cl
                       order=order, offsets=offsets)
 
 
-def _sq_dists(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """(n, c) squared Euclidean distances, matmul-based: (||x||^2 - 2 x.c) + ||c||^2,
-    computed in place in the one (n, c) buffer. Finite tokens whose distances
-    overflow the dtype are rejected: inf and NaN distances tie every argmin.
-    The overflow raises that error alone, with no numpy RuntimeWarning first."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        d2 = x @ centroids.T
-        d2 *= -2.0
-        d2 += np.sum(x * x, axis=1)[:, None]
-        d2 += np.sum(centroids * centroids, axis=1)
-    np.maximum(d2, 0.0, out=d2)
-    if not np.isfinite(d2.max(initial=0.0)):  # NaN propagates
-        raise ValueError(f"squared distances overflow {d2.dtype}; rescale the tokens")
-    return d2
+def _scores(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """(n, c) scores ||c||^2 - 2 x.c from one product and one broadcast add:
+    each token's squared distances less its own ||x||^2, so a row ranks the
+    centroids, and differences within a row are differences of distances.
+    Tokens and centroids whose squared distances could overflow the dtype,
+    (max ||x|| + max ||c||)^2 >= finfo.max, are rejected by that norm bound
+    (NaN and inf fail it) with no numpy RuntimeWarning first; below it no
+    score, nor any sum in the product, can overflow."""
+    dtype = np.result_type(x, centroids, 1.0)
+    cc = sq_norms(centroids)
+    bound = math.sqrt(sq_norms(x).max(initial=0.0)) + math.sqrt(cc.max(initial=0.0))
+    if not bound < math.sqrt(np.finfo(dtype).max):
+        raise ValueError(f"squared distances overflow {dtype}; rescale the tokens")
+    s = x @ (-2.0 * centroids).T
+    s += cc
+    return s
 
 
 def init_centroids(x: np.ndarray, c: int, rng: np.random.Generator) -> CentroidInit:
-    """Sample c distinct token indices with probability proportional to ||x_i||^2.
+    """Sample c distinct token indices with probability proportional to ||x_i||^2,
+    one after another without replacement (successive sampling), as the top c
+    of log ||x_i||^2 plus Gumbel noise (Gumbel-top-k), in drawing order.
+    `kmeans` passes its tokens centered, so there the weights are squared
+    distances to the token mean.
 
-    Falls back to uniform sampling (flagged) when fewer than c points carry
-    positive squared norm.
+    A zero-norm token is never drawn. Falls back to uniform sampling (flagged)
+    when fewer than c points carry positive squared norm.
     """
     x = np.asarray(x)
     n = x.shape[0]
     if not 1 <= c <= n:
         raise ValueError(f"need 1 <= c <= n, got c={c}, n={n}")
-    w = np.sum(x.astype(np.float64) ** 2, axis=1)
-    total = w.sum()
-    fallback = total <= 0.0 or np.count_nonzero(w) < c
+    w = sq_norms(x.astype(np.float64, copy=False))
+    fallback = np.count_nonzero(w) < c
     if fallback:
         idx = rng.choice(n, size=c, replace=False)
     else:
-        idx = rng.choice(n, size=c, replace=False, p=w / total)
+        with np.errstate(divide="ignore"):
+            keys = np.log(w)  # -inf at zero norm: never among the top c
+        keys += rng.gumbel(size=n)
+        idx = np.argpartition(-keys, c - 1)[:c]
+        idx = idx[np.argsort(-keys[idx], kind="stable")]
     idx = np.asarray(idx, dtype=np.int64)
-    return CentroidInit(centroids=x[idx].copy(), indices=idx, uniform_fallback=fallback)
+    return CentroidInit(centroids=x[idx], indices=idx, uniform_fallback=fallback)
 
 
-def _repair_empties(x, centroids, assign, d2=None):
+def _repair_empties(x, centroids, assign):
     """`assign` if no cluster is empty, else a copy repaired in one pass: each
-    empty cluster, in id order, takes the worst-served token (greatest distance
-    to its assigned centroid, ties to the lowest id) of a cluster that keeps a
-    member, which c <= n guarantees. No centroid is written; d2, the distances
-    to them, is computed here only if a cluster is empty."""
+    empty cluster, in id order, takes the worst-served token (greatest squared
+    distance to its assigned centroid, ties to the lowest id) of a cluster that
+    keeps a member, which c <= n guarantees. No centroid is written. The repair
+    is the one place that compares distances across tokens, so it computes
+    them in full, from the residuals, and only if a cluster is empty."""
     counts = np.bincount(assign, minlength=centroids.shape[0])
     empties = np.flatnonzero(counts == 0)
     if not empties.size:
         return assign
-    if d2 is None:
-        d2 = _sq_dists(x, centroids)
-    own = d2[np.arange(len(assign)), assign]
+    own = sq_norms(x - centroids[assign])
     worst = iter(np.argsort(-own, kind="stable"))  # ties by id; a skipped token stays ineligible
     assign = assign.copy()
     for j in empties:
@@ -169,31 +182,33 @@ def cap_assign(x: np.ndarray, centroids: np.ndarray, cap: int) -> np.ndarray:
     centroid is the one with the smallest margin. Only tokens whose nearest
     centroid is over its cap compete, so only their margins are computed.
 
-    The first round's targets are the nearest centroids, which have room,
-    and each margin comes from the nearest distance and one masked row min.
-    A later round costs O(rejected x c): one argmin over each unplaced
-    token's distances to the centroids with room. Tokens that tie every
-    distance all propose to one centroid per round, so identical tokens with
-    c close to n take about c rounds: at n = 1024, d = 16 f32 (one core of a
-    2-core Xeon), about 6 ms at c = 64, 250 ms at c = 512 and 490 ms at
-    c = 1023, against under 1 ms for 1024 Gaussian tokens at c = 64.
+    Nearest centroids and margins come from one (n, c) pass of scores
+    ||c||^2 - 2 x.c: the token's own ||x||^2 cancels from both. Each margin
+    is the nearest score minus the score at the argmin of the row with the
+    nearest masked. A later round costs O(rejected x c): one argmin over each
+    unplaced token's scores at the centroids with room. Tokens that tie
+    every distance all propose to one centroid per round, so identical tokens
+    with c close to n take about c rounds: at n = 1024, d = 16 f32 and
+    cap = ceil(n / c) (one core of a shared 2-core Xeon, medians of two
+    runs), 7-12 ms at c = 64, 230-360 ms at c = 512 and 420-430 ms at
+    c = 1023, against 0.55 ms for 1024 Gaussian tokens at c = 64.
     """
     x = np.asarray(x)
     n, c = x.shape[0], centroids.shape[0]
     if cap * c < n:
         raise ValueError(f"infeasible capacity: cap={cap} x c={c} < n={n}")
-    d2 = _sq_dists(x, centroids)
-    assign = np.argmin(d2, axis=1)
+    s = _scores(x, centroids)
+    assign = np.argmin(s, axis=1)
     counts = np.bincount(assign, minlength=c)
     over = counts > cap
     if not over.any():
         return assign.astype(np.int64)  # caps non-binding: identical to uncapped (always when c == 1)
     tok = np.flatnonzero(over[assign])  # the competitors
-    # margin: the nearest distance minus the row min over the other centroids
-    rows, hit = d2[tok], (np.arange(tok.size), assign[tok])
+    # margin: the nearest score minus the second nearest, read at the argmin of the masked row
+    rows, hit = s[tok], (np.arange(tok.size), assign[tok])
     nearest = rows[hit]
     rows[hit] = np.inf
-    tok = tok[np.argsort(nearest - rows.min(axis=1), kind="stable")]  # priority order, ties by id
+    tok = tok[np.argsort(nearest - rows[hit[0], rows.argmin(axis=1)], kind="stable")]  # ties by id
     del rows
     room = np.where(over, cap, cap - counts)  # the non-competitors keep their nearest centroid
     # in the first round every competitor proposes to its nearest centroid, which has room cap
@@ -209,7 +224,7 @@ def cap_assign(x: np.ndarray, centroids: np.ndarray, cap: int) -> np.ndarray:
         tok = tok[np.sort(by[~taken])]  # the rejected, back in priority order
         if not tok.size:
             return assign.astype(np.int64)
-        target = np.where(room > 0, d2[tok], np.inf).argmin(axis=1)  # ties -> lowest id
+        target = np.where(room > 0, s[tok], np.inf).argmin(axis=1)  # ties -> lowest id
 
 
 def kmeans(
@@ -224,11 +239,14 @@ def kmeans(
     at most ceil(cap_ratio * n / c) tokens per cluster, each followed by the
     empty-cluster repair. Nearest-centroid ties break toward the lowest id. No
     returned cluster is empty, and the centroids are a fresh array of member
-    means.
+    means of the tokens as given.
 
-    `init` replaces the squared-norm-proportional seeding with a given
-    `CentroidInit` whose (c, d) centroids start the iterations (tests use it
-    to share one seeding across calls).
+    The iterations run on the tokens less their mean, so seeding weights and
+    scores do not grow with a shift shared by all tokens: squared-norm
+    seeding draws by squared distance to the mean, and no score cancels a
+    large ||x||^2. `init` replaces that seeding with a given `CentroidInit`
+    whose (c, d) centroids, in the tokens' own coordinates, start the
+    iterations (tests use it to share one seeding across calls).
     """
     x = np.asarray(x)
     if x.ndim != 2:
@@ -242,19 +260,22 @@ def kmeans(
         raise ValueError("need c >= 1 and iters >= 1")
     if not 1.0 <= cap_ratio < math.inf:
         raise ValueError("cap_ratio must be finite and >= 1")
-    if init is None:
-        init = init_centroids(x, c, rng)
-    centroids = np.asarray(init.centroids, dtype=x.dtype)
-    if centroids.shape != (c, x.shape[1]):
+    if init is not None and np.shape(init.centroids) != (c, x.shape[1]):
         raise ValueError("init centroids have wrong shape")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed mean fails the score bound
+        mean = np.ones(n, dtype=x.dtype) @ x / n
+        xc = x - mean
+        if init is None:
+            centroids = init_centroids(xc, c, rng).centroids
+        else:
+            centroids = np.asarray(init.centroids, dtype=x.dtype) - mean
 
     for _ in range(iters):
-        d2 = _sq_dists(x, centroids)
-        assign = _repair_empties(x, centroids, np.argmin(d2, axis=1), d2)  # ties -> lowest id
-        centroids = _means(x, *_layout(assign, c))
+        assign = _repair_empties(xc, centroids, np.argmin(_scores(xc, centroids), axis=1))  # ties -> lowest id
+        centroids = _means(xc, *_layout(assign, c))
 
     cap = math.ceil(cap_ratio * n / c)
-    assign = _repair_empties(x, centroids, cap_assign(x, centroids, cap))
+    assign = _repair_empties(xc, centroids, cap_assign(xc, centroids, cap))
     return clustering_from_assignments(x, assign, c)
 
 

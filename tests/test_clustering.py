@@ -7,11 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from muse import MuseConfig, muse_acausal
+from muse import MuseConfig, attend, muse_acausal, rel_sq_error
 from muse.clustering import (
     CentroidInit,
     _repair_empties,
-    _sq_dists,
     cap_assign,
     clustering_from_assignments,
     decompose,
@@ -20,6 +19,7 @@ from muse.clustering import (
     kmeans,
 )
 from muse.numerics import make_rng
+from muse.workloads import WorkloadSpec, generate
 
 from oracles import naive_cap_assign, sq_dists
 
@@ -77,6 +77,37 @@ def test_init_squared_norm_weighting():
     expected = 9000 * np.array([9, 1, 1, 1, 1]) / 13
     chi = stats.chisquare(counts, expected)
     assert chi.pvalue > 0.001, f"counts={counts} vs expected={expected}"
+
+
+def test_init_pairs_follow_successive_sampling():
+    # c = 2 draws without replacement: the unordered pair {i, j} comes up with
+    # probability w_i w_j / W * (1 / (W - w_i) + 1 / (W - w_j)), w = ||x||^2
+    x = np.array([[1.0, 0.0], [0.0, 2.0], [1.5, 1.5], [0.5, 0.0], [0.0, 0.7]])
+    w = (x ** 2).sum(axis=1)
+    total = w.sum()
+    pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    trials = 10_000
+    expected = np.array([trials * w[i] * w[j] / total * (1 / (total - w[i]) + 1 / (total - w[j]))
+                         for i, j in pairs])
+    counts = np.zeros(len(pairs))
+    for trial in range(trials):
+        counts[pairs.index(tuple(sorted(init_centroids(x, 2, make_rng(trial)).indices.tolist())))] += 1
+    chi = stats.chisquare(counts, expected)
+    assert chi.pvalue > 0.001, f"counts={counts} vs expected={expected}"
+
+
+@pytest.mark.parametrize("c", [1, 3, 5])
+def test_init_never_picks_a_zero_norm_token(c):
+    # five tokens of positive norm, one of them tiny, among fifteen zero rows
+    x = np.zeros((20, 3))
+    positive = [2, 5, 11, 12, 19]
+    x[positive] = np.random.default_rng(16).normal(size=(5, 3))
+    x[12] *= 1e-150
+    for trial in range(200):
+        init = init_centroids(x, c, make_rng(trial))
+        assert not init.uniform_fallback
+        assert set(init.indices.tolist()) <= set(positive) and len(set(init.indices.tolist())) == c
+        assert np.array_equal(init.centroids, x[init.indices])
 
 
 def test_init_validation():
@@ -219,9 +250,21 @@ def test_overflowing_distances_raise_no_numpy_warning():
     x = (1e20 * np.random.default_rng(12).normal(size=(64, 8))).astype(np.float32)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for call in (lambda: _sq_dists(x, x[:4].copy()), lambda: kmeans(x, 4, 2, 1.5, make_rng(0))):
+        for call in (lambda: cap_assign(x, x[:4].copy(), 16), lambda: kmeans(x, 4, 2, 1.5, make_rng(0))):
             with pytest.raises(ValueError, match="squared distances overflow float32"):
                 call()
+
+
+def test_large_tokens_under_the_norm_bound_are_placed_as_their_scaled_copies():
+    # f32 tokens near 1e18 keep (max ||x|| + max ||c||)^2 below finfo.max; scaling by a
+    # power of two is exact and scales every score alike, so the labels cannot change
+    x = (5e17 * np.random.default_rng(12).normal(size=(64, 8))).astype(np.float32)
+    small = x * np.float32(2.0 ** -60)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(cap_assign(x, x[:4].copy(), 16), cap_assign(small, small[:4].copy(), 16))
+        assert np.array_equal(kmeans(x, 4, 2, 1.5, make_rng(0)).assignments,
+                              kmeans(small, 4, 2, 1.5, make_rng(0)).assignments)
 
 
 def test_clustering_from_assignments_rejects_bad_labels():
@@ -385,6 +428,42 @@ def test_repair_empties_is_one_pass_that_writes_no_centroids():
     x, centroids = np.array([[0.0], [0.1], [20.0]]), np.array([[0.0], [10.0], [50.0]])
     assert _repair_empties(x, centroids, np.array([0, 0, 1])).tolist() == [0, 2, 1]
     assert centroids.ravel().tolist() == [0.0, 10.0, 50.0]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_repair_fills_an_empty_cluster_with_the_token_served_worst(dtype):
+    # duplicate starting centroids leave cluster 1 empty after the first Lloyd
+    # assignment (ties go to the lowest id). Token 7 is the farthest from its
+    # centroid; token 3 has the greatest score ||c||^2 - 2 x.c on the centered
+    # tokens, which omits the token's own norm, so scores must not pick it
+    x = np.array([[-1.0, 0], [0, 0], [1, 0], [3, 0], [10, 0], [10, 1], [10, -1], [14, 0]])
+    start = np.array([[0.0, 0], [0, 0], [10, 0]])
+    d2 = ((x[:, None] - start) ** 2).sum(axis=-1)
+    nearest = d2.argmin(axis=1)
+    worst = int(np.argmax(d2[np.arange(8), nearest]))
+    xc, sc = x - x.mean(axis=0), start - x.mean(axis=0)
+    by_score = int(np.argmax((sc ** 2).sum(axis=1)[nearest] - 2 * (xc * sc[nearest]).sum(axis=1)))
+    assert (worst, by_score) == (7, 3)
+    init = CentroidInit(centroids=start.astype(dtype), indices=np.array([1, 1, 4]), uniform_fallback=False)
+    cl = kmeans(x.astype(dtype), 3, 1, cap_ratio=3.0, rng=make_rng(0), init=init)
+    assert cl.order[cl.offsets[1]:cl.offsets[2]].tolist() == [worst]
+
+
+def shifted_errors(kind, offsets, **spec):
+    q, k, v = generate(WorkloadSpec(kind=kind, n=2048, d=16, seed=0, dtype="f32", **spec))
+    sign = np.where(np.arange(16) % 2, -1, 1).astype(np.float32)
+    cfg = MuseConfig(c_q=64, c_k=64, seed=0)
+    return [rel_sq_error(attend(q, k + o * sign, v), muse_acausal(q, k + o * sign, v, cfg)) for o in offsets]
+
+
+@pytest.mark.parametrize("kind, spec", [("isotropic_gaussian", {}),
+                                        ("gaussian_mixture", dict(c_true=64, spread=0.3))])
+def test_error_does_not_grow_with_a_shared_key_shift(kind, spec):
+    # exact attention ignores a vector added to every key; k-means on the keys
+    # as given would seed by ||k||^2 and lose its scores to cancellation
+    base, *shifted = shifted_errors(kind, [0.0, 10.0, 1e2, 1e3, 1e4], **spec)
+    for o, err in zip([10.0, 1e2, 1e3, 1e4], shifted):
+        assert abs(err - base) <= 0.02 * base, f"offset {o}: {err:.4g} against {base:.4g} unshifted"
 
 
 def test_decompose_reconstruction_within_one_ulp():
