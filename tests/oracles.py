@@ -155,12 +155,13 @@ def naive_muse_slice(q, k, v, q_assign, k_assign, c_q, c_k, scale, ablation="ful
     return y, mu_out
 
 
-def sq_dists(x, centroids):
-    """(n, c) squared distances by the library's matmul formula, in the input
-    dtype, so that ties and nearest centroids match the library's exactly."""
-    xx = np.sum(x * x, axis=1)[:, None]
-    cc = np.sum(centroids * centroids, axis=1)[None, :]
-    return np.maximum(xx - 2.0 * (x @ centroids.T) + cc, 0.0)
+def centroid_scores(x, centroids):
+    """(n, c) scores ||c||^2 - 2 x.c in the input dtype: each token's squared
+    distances less its own ||x||^2, so a row ranks the centroids. This is the
+    formula `cap_assign` ranks by, with the same einsum norms, so equal inputs
+    give the same ties and margins to the last bit; full distances, with their
+    extra ||x||^2 term, round margins that tie in exact arithmetic apart."""
+    return x @ (-2.0 * centroids).T + np.einsum("ij,ij->i", centroids, centroids)
 
 
 def naive_cap_assign(x, centroids, cap):
@@ -169,17 +170,17 @@ def naive_cap_assign(x, centroids, cap):
     Each round, every unplaced token proposes to its nearest centroid with
     room left at the start of the round (ties by centroid id). Each centroid
     accepts its proposals in priority order up to its room, and acceptance is
-    final. The priority is ascending (nearest minus second-nearest squared
-    distance), ties by token index. Distances use the library's matmul formula
-    in the input dtype, so equal inputs give equal ties and the result can be
-    compared exactly.
+    final. The priority is ascending margin (nearest minus second-nearest
+    score), ties by token index. Centroids are ranked by `centroid_scores`,
+    the library's formula in the input dtype, so the result can be compared
+    exactly.
     """
     x = np.asarray(x)
     n, c = x.shape[0], centroids.shape[0]
     if cap * c < n:
         raise ValueError(f"infeasible capacity: cap={cap} x c={c} < n={n}")
-    d2 = sq_dists(x, centroids)
-    top = np.sort(d2, axis=1)
+    scores = centroid_scores(x, centroids)
+    top = np.sort(scores, axis=1)
     margin = top[:, 0] - top[:, 1] if c > 1 else np.zeros(n)
     priority = sorted(range(n), key=lambda t: (margin[t], t))
     assign = [None] * n
@@ -189,7 +190,7 @@ def naive_cap_assign(x, centroids, cap):
         proposals = [[] for _ in range(c)]
         for t in priority:
             if assign[t] is None:
-                proposals[min((d2[t, j], j) for j in range(c) if is_open[j])[1]].append(t)
+                proposals[min((scores[t, j], j) for j in range(c) if is_open[j])[1]].append(t)
         for j in range(c):
             for t in proposals[j][:room[j]]:
                 assign[t] = j

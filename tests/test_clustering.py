@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -21,7 +21,7 @@ from muse.clustering import (
 from muse.numerics import make_rng
 from muse.workloads import WorkloadSpec, generate
 
-from oracles import naive_cap_assign, sq_dists
+from oracles import centroid_scores, naive_cap_assign
 
 
 def blob_pair(seed, n_each=40, d=4, separation=20.0):
@@ -360,6 +360,10 @@ CAPPED_CASES = dict(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 60), c_fr
 
 @given(**CAPPED_CASES)
 @settings(max_examples=300, deadline=None)
+# margins that tie in exact arithmetic, which full distances, with their ||x||^2
+# term, round apart where cap_assign's scores do not
+@example(seed=14, n=14, c_frac=0.5625, distinct=None, slack=1.0, dtype=np.float32)
+@example(seed=45126, n=26, c_frac=0.375, distinct=5, slack=1.0, dtype=np.float32)
 def test_cap_assign_equals_naive_oracle(seed, n, c_frac, distinct, slack, dtype):
     x, centroids, cap = capped_case(seed, n, c_frac, distinct, slack, dtype)
     assert np.array_equal(cap_assign(x, centroids, cap), naive_cap_assign(x, centroids, cap))
@@ -371,7 +375,7 @@ def test_cap_assign_keeps_the_most_tokens_at_their_nearest(seed, n, c_frac, dist
     # no capped assignment can leave more than min(count_j, cap) tokens at centroid j
     # among those nearest to it, and the first round keeps exactly that many
     x, centroids, cap = capped_case(seed, n, c_frac, distinct, slack, dtype)
-    nearest = np.argmin(sq_dists(x, centroids), axis=1)
+    nearest = np.argmin(centroid_scores(x, centroids), axis=1)
     got = cap_assign(x, centroids, cap)
     kept = np.minimum(np.bincount(nearest, minlength=len(centroids)), cap).sum()
     assert np.count_nonzero(got == nearest) == kept

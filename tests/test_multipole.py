@@ -67,15 +67,23 @@ def test_stage1_singleton_clusters_passthrough():
 
 
 def test_stage1_covariance_matches_loops():
+    # unequal cluster sizes put padded slots in stage 1's layout; keys and values
+    # off the origin make a padded slot counted in a member mean or left with a
+    # nonzero deviation show in the covariance
     rng = np.random.default_rng(2)
     d = 4
-    kc = rng.normal(size=(7, d))
-    vc = rng.normal(size=(7, d))
-    out = stage1(rng.normal(size=(1, d)), joint([kc], [vc]))
-    dk = kc - kc.mean(axis=0)
-    dv = vc - vc.mean(axis=0)
-    want = sum(np.outer(dv[u], dk[u]) for u in range(7)) / 7
-    np.testing.assert_allclose(out.cov_vk[0], want, atol=1e-13)
+    sizes = (7, 1, 3, 12, 5)
+    for dtype, atol in ((np.float64, 1e-13), (np.float32, 1e-5)):
+        keys = [(rng.normal(size=(u, d)) + 2.0).astype(dtype) for u in sizes]
+        vals = [(rng.normal(size=(u, d)) - 3.0).astype(dtype) for u in sizes]
+        out = stage1(rng.normal(size=(2, d)).astype(dtype), joint(keys, vals))
+        assert out.cov_vk.dtype == dtype
+        for j, (kc, vc) in enumerate(zip(keys, vals, strict=True)):
+            kc, vc = kc.astype(np.float64), vc.astype(np.float64)
+            dk = kc - kc.mean(axis=0)
+            dv = vc - vc.mean(axis=0)
+            want = sum(np.outer(dv[u], dk[u]) for u in range(len(kc))) / len(kc)
+            np.testing.assert_allclose(out.cov_vk[j], want, atol=atol)
 
 
 def test_stage1_empty_cluster_rejected():
