@@ -17,7 +17,7 @@ deterministic given the generator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import pairwise
 
 import numpy as np
@@ -57,6 +57,12 @@ class Clustering:
         the fancy index x[order] on (4096, 16) and (4096, 32) f32 rows."""
         rows = np.take(x, self.order, axis=0)
         return [rows[a:b] for a, b in pairwise(self.offsets.tolist())]
+
+    def recentered(self, x: np.ndarray) -> "Clustering":
+        """The same labels and layout over new tokens x, with their member-mean
+        centroids; bitwise the clustering `clustering_from_assignments` builds
+        from these labels over x. The label and layout arrays are shared."""
+        return replace(self, centroids=_means(x, self.order, self.offsets))
 
 
 def _stable_order(labels: np.ndarray, c: int) -> np.ndarray:

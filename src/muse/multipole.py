@@ -11,12 +11,14 @@ applies the `MuseConfig.ablation` around it.
 Both stages take the exact kernel's bounded route, `numerics.bounded_rows`
 and `numerics.max_shift`: a row whose norms bound its scores to [-L, L],
 L = log(finfo.max) / 4 (a query centroid in stage 1, a residual in the
-final stage, which adds its logsumexp bias as mu - max_j mu), is
+final stage, whose scores carry the logsumexp bias mu - max_j mu), is
 exponentiated as it stands, and only the other rows take a max pass and
 subtract their max. Neither stage normalises its exponentials: each takes
-their sums from a product with a ones vector and divides their product with
-the (tilted) values by the sums, as the exact kernel does. On ordinary
-inputs no max, subtract or sum pass runs over the scores.
+their sums from a product with a 0/1 or ones vector and divides their
+product with the (tilted) values by the sums, as the exact kernel does. The
+final stage's scores, bias included, are one product of contiguous blocks
+that stage 1 lays out for it. On ordinary inputs no max, subtract, bias or
+sum pass runs over the scores.
 
 The summaries are exact per-cluster attention results for the query
 centroids, so the whole construction inherits the merge identity: with one
@@ -26,7 +28,7 @@ cluster per token, or with zero query residuals, the output is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -86,40 +88,53 @@ class MuseConfig:
 
 @dataclass
 class ClusterSummaries:
-    """Stage-1 output for one (batch, head) slice.
+    """Stage-1 output for one (batch, head) slice, in the layouts the final
+    stage multiplies.
 
-    kbar/vbar[i, j] are the key/value centroids of key cluster j tilted by
-    query centroid i; mu[i, j] is the logsumexp of the centroid's scores over
-    cluster j. cov_vk[j][a, b] is the untilted value-key covariance
-    (1/U_j) sum (v - vbar_j)_a (k - kbar_j)_b with plain member means.
-    kv_sq holds the largest squared key and value norms over all clusters,
-    which bound every squared kbar and vbar norm (convex combinations of
-    them) up to rounding.
+    kbar[i, j] and vbar[i, j] are the key and value centroids of key cluster j
+    tilted by query centroid i; mu[i, j] is the logsumexp of the centroid's
+    scores over cluster j. `kbar_bias` is one contiguous (c_q, d + 1, c_k)
+    block: kbar[i] transposed in its first d rows, and the bias row
+    mu[i] - max_j mu[i, j] last, so that a residual with a trailing 1 scores
+    r . kbar[i, j] + mu[i, j] - max_j mu[i, j] from one product; `kbar` is a
+    view of its first d rows. vbar is contiguous (c_q, c_k, d). cov_vk[j][a, b]
+    is the untilted value-key covariance (1/U_j) sum (v - vbar_j)_a
+    (k - kbar_j)_b with plain member means. kv_sq holds the largest squared
+    key and value norms over all clusters, which bound every squared kbar and
+    vbar norm (convex combinations of them) up to rounding.
     """
 
-    kbar: np.ndarray  # (c_q, c_k, d)
+    kbar_bias: np.ndarray  # (c_q, d + 1, c_k)
     vbar: np.ndarray  # (c_q, c_k, d)
     mu: np.ndarray  # (c_q, c_k)
     cov_vk: np.ndarray  # (c_k, d, d)
     kv_sq: np.ndarray  # (2,)
 
+    @property
+    def kbar(self) -> np.ndarray:
+        """(c_q, c_k, d) view of the tilted key centroids."""
+        return self.kbar_bias[:, :-1].transpose(0, 2, 1)
 
-def _padded(groups: list) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+
+def _padded(groups: list, ones: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stack variable-length (U_j, d) arrays into zero-padded (C, U_max, d),
     in the dtype `np.concatenate` would give them, by copying each group into
-    its block of one zero array.
+    its block of one zero array. With `ones`, the array is (C, U_max, d + 1)
+    and every row, padded slots included, ends in a 1.
 
-    Also returns the flat indices into the first two axes of the real rows
-    (in group order, so `out.reshape(-1, d)[real]` gives back the
-    concatenated groups) and of the padded slots, and the (C,) group sizes.
+    Also returns the (C, U_max) mask of the real rows (in group order, so
+    `out.reshape(-1, d)[flatnonzero(mask)]` gives back the concatenated
+    groups) and the (C,) group sizes.
     """
     sizes = np.array([g.shape[0] for g in groups])
     mask = np.arange(sizes.max()) < sizes[:, None]
-    real, pad = np.flatnonzero(mask), np.flatnonzero(~mask)
-    out = np.zeros(mask.shape + groups[0].shape[1:], dtype=np.result_type(*groups))
+    d = groups[0].shape[1]
+    out = np.zeros(mask.shape + (d + int(ones),), dtype=np.result_type(*groups))
     for block, g in zip(out, groups):
-        block[:g.shape[0]] = g
-    return out, real, pad, sizes
+        block[:g.shape[0], :d] = g
+    if ones:
+        out[:, :, d] = 1
+    return out, mask, sizes
 
 
 def stage1(qbar: np.ndarray, key_clusters: list) -> ClusterSummaries:
@@ -130,47 +145,54 @@ def stage1(qbar: np.ndarray, key_clusters: list) -> ClusterSummaries:
 
     Each block of `key_clusters` is one key cluster's (U_j, 2d) rows: the key
     in the first d columns, its value in the last d, so one tilted product
-    gives both centroids. qbar rows are already in scaled score units; padded
-    slots carry -inf. A centroid that `bounded_rows` bounds is exponentiated
-    without a max shift; the others take theirs from `max_shift`.
+    gives both centroids. qbar rows are already in scaled score units. A
+    centroid that `bounded_rows` bounds is exponentiated without a max shift;
+    the others take theirs from `max_shift`, after the padded slots of every
+    score row are set to -inf.
     """
     d = qbar.shape[1]
     widths = sorted({kv.shape[-1] for kv in key_clusters})
     if widths != [2 * d]:
         raise ValueError(f"key/value blocks must be 2 * d = {2 * d} wide for {d}-wide query "
                          f"centroids, got widths {widths}")
-    kvpad, _, pad, sizes = _padded(key_clusters)
+    kvpad, real, sizes = _padded(key_clusters)
     if not sizes.all():
         raise ValueError("empty key cluster")
+    c_q = qbar.shape[0]
     c_k, u_max, _ = kvpad.shape
     kv = kvpad.reshape(-1, 2 * d)
     # the largest squared key and value norms: the scores need the first, and the
-    # product below multiplies the exponentials with keys and values alike. They
-    # are taken as two 1-D maxima over the key and the value columns: numpy's max
-    # over axis 0 of a (c_k U, 2) norms array costs about 13 times as much
-    kv_sq = np.array([sq_norms(kv[:, :d]).max(), sq_norms(kv[:, d:]).max()])
+    # product below multiplies the exponentials with keys and values alike. One
+    # contiguous norm pass over the d-wide halves, in which key and value rows
+    # alternate, and a strided 1-D max over each
+    norms = sq_norms(kv.reshape(-1, d))
+    kv_sq = np.array([norms[0::2].max(), norms[1::2].max()])
+    del norms  # not held into the score product
     bounded = bounded_rows(sq_norms(qbar), kv_sq[0], kv_sq.max(), np.result_type(qbar, kvpad))
     # scores laid out (c_k, U, c_q) from one GEMM; the padded slots are whole rows
     # of the flat (c_k U, c_q) scores. The scores of bounded centroids are
-    # exponentiated as they stand, the others after their max shift. The
-    # exponentials stay unnormalised: their sums over U come from one product
-    # with a ones vector, and kbar/vbar from one product, which reads each e[j].T
-    # as the column-major matrix it is and writes into (c_q, c_k, 2d), the layout
-    # the final stage reads; that product is divided by the sums, 2d divisions
-    # per (i, j) pair in place of U_max.
+    # exponentiated as they stand: a padded slot scores exactly 0 there, and its
+    # exponential 1 multiplies a zero row. Only the shifted route writes -inf into
+    # the padded slots, so that no padded 0 is the max of a row. The exponentials
+    # stay unnormalised: their sums over the real slots come from one product with
+    # the 0/1 mask of those slots, and kbar/vbar from one product, which reads
+    # each e[j].T as the column-major matrix it is and writes into (c_q, c_k, 2d),
+    # and that product is divided by the sums, 2d divisions per (i, j) pair in
+    # place of U_max. Copies then write the final stage's layouts.
     s = kv[:, :d] @ qbar.T
-    s[pad] = -np.inf
-    s = s.reshape(c_k, u_max, -1)
+    if not bounded.all():
+        s[np.flatnonzero(~real)] = -np.inf
+    s = s.reshape(c_k, u_max, c_q)
     shift = max_shift(bounded, lambda: s.max(axis=1, keepdims=True))
     if shift is not None:
         s -= shift
     np.exp(s, out=s)
-    total = np.matmul(np.ones(u_max, dtype=s.dtype), s)
-    kvbar = np.empty((qbar.shape[0], c_k, 2 * d), dtype=s.dtype)
+    total = np.matmul(real.astype(s.dtype)[:, None, :], s)[:, 0].T  # (c_q, c_k)
+    kvbar = np.empty((c_q, c_k, 2 * d), dtype=s.dtype)
     np.matmul(s.transpose(0, 2, 1), kvpad, out=kvbar.transpose(1, 0, 2))
     del s  # free the scores before the covariance temporaries
-    kvbar /= total.T[:, :, None]
-    mu = np.log(total.T, order="C")
+    kvbar /= total[:, :, None]
+    mu = np.log(total, order="C")
     if shift is not None:
         mu += shift[:, 0].T
     counts = sizes[:, None, None].astype(kvpad.dtype)
@@ -178,9 +200,14 @@ def stage1(qbar: np.ndarray, key_clusters: list) -> ClusterSummaries:
     # the member sums are one product with a ones vector (the padded rows are
     # zero), as the exponential sums above
     dkv = kvpad - np.matmul(np.ones(u_max, dtype=kvpad.dtype), kvpad)[:, None] / counts
-    dkv.reshape(-1, 2 * d)[pad] = 0
+    dkv.reshape(-1, 2 * d)[np.flatnonzero(~real)] = 0
     cov_vk = np.matmul(dkv[:, :, d:].transpose(0, 2, 1), dkv[:, :, :d]) / counts
-    return ClusterSummaries(kbar=kvbar[:, :, :d], vbar=kvbar[:, :, d:], mu=mu, cov_vk=cov_vk, kv_sq=kv_sq)
+    del kvpad, kv, dkv  # free the padded blocks before the layouts are copied out
+    kbar_bias = np.empty((c_q, d + 1, c_k), dtype=kvbar.dtype)
+    kbar_bias[:, :d] = kvbar[:, :, :d].transpose(0, 2, 1)
+    np.subtract(mu, mu.max(axis=1, keepdims=True), out=kbar_bias[:, d])
+    vbar = kvbar[:, :, d:].copy()
+    return ClusterSummaries(kbar_bias=kbar_bias, vbar=vbar, mu=mu, cov_vk=cov_vk, kv_sq=kv_sq)
 
 
 def aggregate_dipoles(summaries: ClusterSummaries) -> np.ndarray:
@@ -197,36 +224,37 @@ def final_stage(residual_clusters: list, summaries: ClusterSummaries,
     """Refine each residual query against its cluster's summaries.
 
     Scores are S_j = qres . kbar[i, j] + mu[i, j] (the logsumexp bias applies
-    the per-cluster mass in log space), computed as S_j - max_j mu[i, j]; the
-    output is the softmax combination of the tilted value centroids, taken as
-    sum_j exp(S_j) vbar[i, j] over sum_j exp(S_j), plus the dipole correction
-    qres . dipoles[i]^T contracted over the key index, left out when
-    `dipoles` is None. Residuals are already in scaled units. A residual that
-    `bounded_rows` bounds by `summaries.kv_sq` is exponentiated as it stands;
-    the others take their shift from `max_shift`.
+    the per-cluster mass in log space), computed as S_j - max_j mu[i, j] by
+    one batched product of the residuals, each with a trailing 1, and
+    `summaries.kbar_bias`; the output is the softmax combination of the
+    tilted value centroids, taken as sum_j exp(S_j) vbar[i, j] over
+    sum_j exp(S_j), plus the dipole correction qres . dipoles[i]^T contracted
+    over the key index, left out when `dipoles` is None. Residuals are already
+    in scaled units. A residual that `bounded_rows` bounds by
+    `summaries.kv_sq` is exponentiated as it stands; the others take their
+    shift from `max_shift`.
 
     Returns the (y rows, mu rows) of all residuals in cluster order, as flat
     (n, d) and (n,) arrays.
     """
-    rpad, real, _, _ = _padded(residual_clusters)
-    kbar, vbar, mu = summaries.kbar, summaries.vbar, summaries.mu
-    c_q, u_max, d = rpad.shape
-    c_k = kbar.shape[1]
+    rpad, real, _ = _padded(residual_clusters, ones=True)
+    vbar, mu = summaries.vbar, summaries.mu
+    c_q, u_max, _ = rpad.shape
+    c_k, d = vbar.shape[1:]
+    r = rpad[:, :, :d]
     # stage 1's norm maxima bound kbar and vbar up to rounding, which the 4x
     # margin in L absorbs. The bias mu - max_j mu is at most 0 and exactly 0 at
     # the largest mu, so a row whose |r . kbar| <= L has its largest biased
     # score in [-L, L]; a cluster whose mu has no finite max bounds no row and
     # fails in the checks
     top = mu.max(axis=1)
-    finite = np.isfinite(top)
-    bounded = bounded_rows(sq_norms(rpad), summaries.kv_sq[0], summaries.kv_sq[1],
-                           np.result_type(rpad, kbar)) & finite[:, None]
-    # scores laid out (c_q, U, c_k) from one batched product; the y product and
-    # the sums over c_k, one product with a ones vector, read them as they lie,
-    # and y is divided by the sums, d divisions per row in place of c_k. The
-    # bias is made in C order, so that its add runs along c_k.
-    s = np.matmul(rpad, kbar.transpose(0, 2, 1))
-    s += np.subtract(mu, np.where(finite, top, 0)[:, None], order="C")[:, None, :]
+    bounded = bounded_rows(sq_norms(r), summaries.kv_sq[0], summaries.kv_sq[1],
+                           np.result_type(rpad, vbar)) & np.isfinite(top)[:, None]
+    # biased scores laid out (c_q, U, c_k) from one batched product of contiguous
+    # operands; the y product and the sums over c_k, one product with a ones
+    # vector, read them as they lie, and y is divided by the sums, d divisions
+    # per row in place of c_k
+    s = np.matmul(rpad, summaries.kbar_bias)
     shift = max_shift(bounded[:, :, None], lambda: s.max(axis=2, keepdims=True))
     if shift is not None:
         s -= shift
@@ -236,21 +264,43 @@ def final_stage(residual_clusters: list, summaries: ClusterSummaries,
     del s  # free the exponentials before the division's buffer
     y /= total[:, :, None]
     if dipoles is not None:
-        y += np.matmul(rpad, dipoles.transpose(0, 2, 1))
+        y += np.matmul(r, dipoles.transpose(0, 2, 1))
     mu_rows = np.log(total)
     mu_rows += top[:, None]
     if shift is not None:
         mu_rows += shift[:, :, 0]
-    return np.take(y.reshape(-1, d), real, axis=0), np.take(mu_rows.reshape(-1), real)
+    rows = np.flatnonzero(real)
+    return np.take(y.reshape(-1, d), rows, axis=0), np.take(mu_rows.reshape(-1), rows)
 
 
 @dataclass
 class MuseClusters:
-    """Frozen per-slice cluster assignments, reusable across perturbed inputs
-    (centroids are recomputed from whatever points are supplied)."""
+    """Frozen per-slice cluster assignments, reusable across perturbed inputs.
+
+    A call with these clusters recomputes only the member-mean centroids from
+    the points it is given. Each slice's query and key layout (the stable
+    order by label and the cluster offsets) is built on the first call that
+    needs it, or taken from the k-means of `cluster_tokens`, and kept with a
+    private copy of its labels. A later call reuses the layout while the
+    labels equal that copy, and rebuilds it for labels edited in place or
+    replaced, which costs one comparison per slice side.
+    """
 
     q_assign: np.ndarray  # (batch, heads, n_q) int64
     k_assign: np.ndarray  # (batch, heads, n_k) int64
+    # (label field, batch, head, c) -> the Clustering of those labels, whose
+    # assignments are the private copy
+    _layouts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def _clustering(self, name: str, x: np.ndarray, bi: int, hi: int, c: int) -> Clustering:
+        """The clustering of x that the labels `name` give slice (bi, hi), on
+        the kept layout of those labels if they have not changed."""
+        labels = getattr(self, name)[bi, hi]
+        kept = self._layouts.get((name, bi, hi, c))
+        if kept is not None and np.array_equal(kept.assignments, labels):
+            return kept.recentered(x)
+        self._layouts[name, bi, hi, c] = fresh = clustering_from_assignments(x, labels, c)
+        return fresh
 
 
 def _check_clusters(clusters: MuseClusters, b: int, h: int, n_q: int, n_k: int, config: MuseConfig):
@@ -273,8 +323,8 @@ def _cluster_slice(qs, ks, config: MuseConfig, bi: int, hi: int,
     """Query and key clusterings of one (batch, head) slice: capped k-means with
     per-slice seeds, or the frozen labels of `clusters` with fresh centroids."""
     if clusters is not None:
-        return (clustering_from_assignments(qs, clusters.q_assign[bi, hi], config.c_q),
-                clustering_from_assignments(ks, clusters.k_assign[bi, hi], config.c_k))
+        return (clusters._clustering("q_assign", qs, bi, hi, config.c_q),
+                clusters._clustering("k_assign", ks, bi, hi, config.c_k))
     return (kmeans(qs, config.c_q, config.kmeans_iters, config.cap_ratio,
                    make_rng(derive_seed(config.seed, bi, hi, 0))),
             kmeans(ks, config.c_k, config.kmeans_iters, config.cap_ratio,
@@ -283,22 +333,25 @@ def _cluster_slice(qs, ks, config: MuseConfig, bi: int, hi: int,
 
 def cluster_tokens(q, k, config: MuseConfig, threads: int = 1) -> MuseClusters:
     """Run the per-slice clusterings (scaled queries, raw keys) and return the
-    assignments only, for reuse with perturbed inputs."""
+    assignments, for reuse with perturbed inputs. The layouts that k-means
+    built are kept with them, for calls with `config`'s cluster counts."""
     q, k = _check_qk(q, k)
     b, h, n_q, d = q.shape
     scale = config.resolve_scale(d)
-    qa = np.empty((b, h, n_q), dtype=np.int64)
-    ka = np.empty((b, h, k.shape[2]), dtype=np.int64)
+    out = MuseClusters(q_assign=np.empty((b, h, n_q), dtype=np.int64),
+                       k_assign=np.empty((b, h, k.shape[2]), dtype=np.int64))
 
     def run(i):
         bi, hi = divmod(i, h)
         qs = q[bi, hi] * np.asarray(scale, dtype=q.dtype)
         qc, kc = _cluster_slice(qs, k[bi, hi], config, bi, hi)
-        qa[bi, hi] = qc.assignments
-        ka[bi, hi] = kc.assignments
+        out.q_assign[bi, hi] = qc.assignments
+        out.k_assign[bi, hi] = kc.assignments
+        out._layouts["q_assign", bi, hi, config.c_q] = qc
+        out._layouts["k_assign", bi, hi, config.c_k] = kc
 
     _map_slices(run, b * h, threads)
-    return MuseClusters(q_assign=qa, k_assign=ka)
+    return out
 
 
 def muse_acausal(q, k, v, config: MuseConfig, threads: int = 1,
@@ -315,7 +368,8 @@ def muse_acausal(q, k, v, config: MuseConfig, threads: int = 1,
 
     `clusters` freezes assignments (centroids are recomputed from the inputs),
     which keeps the function smooth under small perturbations. Each label
-    array must have shape (batch, heads, n) and ids in [0, c).
+    array must have shape (batch, heads, n) and ids in [0, c). The layouts of
+    unchanged labels are reused from earlier calls (see `MuseClusters`).
     """
     q, k, v, _ = _check_qkv(q, k, v, None)
     b, h, n_q, d = q.shape

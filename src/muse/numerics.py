@@ -93,12 +93,20 @@ def stable_softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
     scores run in float64). -inf entries map to exactly 0.
 
     Raises as `exp_logsumexp_inplace` does: on an empty reduction, NaN input,
-    a +inf score and any fully masked (all -inf) slice.
+    a +inf score and any fully masked (all -inf) slice. The row maxima are
+    taken once and checked with one `isfinite`; only when that check fails
+    does `max_shift` look at them, to raise its error. No logsumexp is taken.
     """
     scores = np.asarray(scores)
     p = scores.astype(np.result_type(scores, 0.0))
-    total, _ = exp_logsumexp_inplace(p, axis)
-    p /= np.expand_dims(total, axis)
+    if p.shape == () or p.shape[axis] == 0:
+        raise ValueError("empty reduction")
+    hi = np.max(p, axis=axis, keepdims=True)
+    if not np.isfinite(hi).all():
+        max_shift(False, lambda: hi)  # raises on NaN, +inf and a fully masked slice
+    p -= hi
+    np.exp(p, out=p)
+    p /= np.sum(p, axis=axis, keepdims=True)
     return p
 
 

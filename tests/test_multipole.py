@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -104,8 +105,10 @@ def test_stage1_rejects_blocks_not_twice_the_query_width():
 
 def test_stage1_peak_memory_holds_one_score_layout():
     # stage 1 peaked at 1.135 MB before its scores moved to a (c_k, U, c_q) layout,
-    # and peaks at 1.154 MB with the exponentials left unnormalised; a copy of the
-    # (64, 24, 64) exponentials for the kbar/vbar product raises the peak to 1.55 MB
+    # and at 1.154 MB with the exponentials left unnormalised; a copy of the
+    # (64, 24, 64) exponentials for the kbar/vbar product raises the peak to 1.55 MB.
+    # It peaks at 1.169 MB with the final stage's blocks copied out after the
+    # covariance, and at 1.251 MB if the sums divide on the way out
     qbar, blocks, _ = peak_memory_inputs()
     peak = peak_bytes(lambda: stage1(qbar, blocks))
     assert peak < 1.1 * 1.135e6, f"peak {peak / 1e6:.3f} MB"
@@ -225,6 +228,46 @@ def test_stage1_both_sides_of_the_bound(monkeypatch, dtype, rows, scale):
             assert out.mu[i, j] == pytest.approx(s.max() + np.log(e.sum()), rel=tol, abs=tol)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_stage1_shifted_route_masks_the_padded_slots(monkeypatch, dtype):
+    # keys offset by 1e4 bound no centroid, so every row takes the shifted route;
+    # the -1 rows score every key near -4e4, and would lose all their scores to a
+    # padded slot scored 0 unless that slot is -inf before the max pass. Integer
+    # keys and +-1 centroids keep every score exact in both dtypes
+    rng = np.random.default_rng(43)
+    d, c_q = 4, 5
+    sizes = (7, 1, 3, 12, 5)
+    qbar = rng.choice([-1.0, 1.0], size=(c_q, d))
+    qbar[:3] = -1
+    keys = [rng.integers(-3, 4, size=(u, d)) + 1e4 for u in sizes]
+    vals = [rng.normal(size=(u, d)) for u in sizes]
+    seen = recorded_bounds(monkeypatch)
+    out = stage1(qbar.astype(dtype), joint([kc.astype(dtype) for kc in keys], [vc.astype(dtype) for vc in vals]))
+    assert not seen[0].any()
+    tol = 32 * np.finfo(dtype).eps
+    for i in range(c_q):
+        for j, (kc, vc) in enumerate(zip(keys, vals, strict=True)):
+            s = kc @ qbar[i]
+            e = np.exp(s - s.max())
+            np.testing.assert_allclose(out.kbar[i, j], e @ kc / e.sum(), rtol=tol, atol=tol)
+            np.testing.assert_allclose(out.vbar[i, j], e @ vc / e.sum(), rtol=tol, atol=tol)
+            assert out.mu[i, j] == pytest.approx(s.max() + np.log(e.sum()), rel=tol, abs=tol)
+
+
+def test_stage1_hands_the_final_stage_contiguous_layouts():
+    # kbar transposed with the bias row mu - max_j mu appended, and vbar, each
+    # one contiguous block, so the final stage's products read no strided operand
+    rng = np.random.default_rng(44)
+    d = 4
+    keys = [rng.normal(size=(u, d)) for u in (3, 1, 6, 4)]
+    vals = [rng.normal(size=k.shape) for k in keys]
+    out = stage1(rng.normal(size=(5, d)), joint(keys, vals))
+    assert out.kbar_bias.shape == (5, d + 1, 4) and out.vbar.shape == (5, 4, d)
+    assert out.kbar_bias.flags.c_contiguous and out.vbar.flags.c_contiguous
+    assert np.array_equal(out.kbar_bias[:, d], out.mu - out.mu.max(axis=1, keepdims=True))
+    assert np.array_equal(out.kbar, out.kbar_bias[:, :d].transpose(0, 2, 1))
+
+
 @pytest.mark.parametrize("dtype, rows, scale", BOUND_CASES)
 def test_final_stage_both_sides_of_the_bound(monkeypatch, dtype, rows, scale):
     # |r| max |kbar| <= sqrt(5) * 2 sqrt(5) = 10 <= L on an unscaled +-1 row;
@@ -235,11 +278,14 @@ def test_final_stage_both_sides_of_the_bound(monkeypatch, dtype, rows, scale):
     sizes = [1, 7, 3, 12, 1, 5]
     kbar = rng.integers(-2, 3, size=(len(sizes), c_k, d)).astype(dtype)
     vbar = rng.normal(size=(len(sizes), c_k, d)).astype(dtype)
+    mu = rng.integers(-3, 4, size=(len(sizes), c_k)).astype(dtype)
+    # stage 1's layout: kbar[i] transposed, then the bias row mu[i] - max_j mu[i, j]
+    kbar_bias = np.concatenate((kbar.transpose(0, 2, 1), (mu - mu.max(axis=1, keepdims=True))[:, None]), axis=1)
     summaries = muse.multipole.ClusterSummaries(
-        kbar=kbar, vbar=vbar,
-        mu=rng.integers(-3, 4, size=(len(sizes), c_k)).astype(dtype),
+        kbar_bias=kbar_bias, vbar=vbar, mu=mu,
         cov_vk=rng.normal(size=(c_k, d, d)).astype(dtype),
         kv_sq=np.array([(kbar * kbar).sum(axis=-1).max(), (vbar * vbar).sum(axis=-1).max()]))
+    assert np.array_equal(summaries.kbar, kbar)
     residuals = [rng.choice([-1.0, 1.0], size=(u, d)) for u in sizes]
     if rows == "some":  # all of cluster 1, one row of cluster 3
         residuals[1] *= scale
@@ -574,6 +620,61 @@ def test_frozen_kmeans_clusters_reproduce_the_unfrozen_call_bitwise(dtype):
     free = muse_acausal(q, k, v, cfg)
     frozen = muse_acausal(q, k, v, cfg, clusters=cluster_tokens(q, k, cfg))
     assert np.array_equal(free.y, frozen.y) and np.array_equal(free.mu, frozen.mu)
+
+
+def test_frozen_layouts_are_reused_bitwise_across_inputs():
+    # one MuseClusters object over several input sets, with its layouts kept from
+    # cluster_tokens or from its first call, against a fresh copy of its labels per call
+    cfg = MuseConfig(c_q=8, c_k=8, seed=3)
+    q0, k0, _ = make_qkv(50, b=2, h=2, n=64, d=8)
+    for clusters in (cluster_tokens(q0, k0, cfg), fixed_clusters(51, 64, 8, 8, b=2, h=2)):
+        for seed in (52, 53, 54):
+            q, k, v = make_qkv(seed, b=2, h=2, n=64, d=8)
+            got = muse_acausal(q, k, v, cfg, clusters=clusters)
+            fresh = MuseClusters(q_assign=clusters.q_assign.copy(), k_assign=clusters.k_assign.copy())
+            want = muse_acausal(q, k, v, cfg, clusters=fresh)
+            assert np.array_equal(got.y, want.y) and np.array_equal(got.mu, want.mu)
+        # a layout is kept per cluster count: with c_q = 9 these labels leave cluster 8 empty
+        with pytest.raises(ValueError, match="empty cluster"):
+            muse_acausal(q, k, v, MuseConfig(c_q=9, c_k=8, seed=3), clusters=clusters)
+
+
+@pytest.mark.parametrize("field", ["q_assign", "k_assign"])
+def test_frozen_labels_edited_in_place_take_effect(field):
+    q, k, v = make_qkv(55, b=1, h=2, n=48, d=6)
+    cfg = MuseConfig(c_q=6, c_k=6, seed=0)
+    clusters = fixed_clusters(56, 48, 6, 6, h=2)
+    before = muse_acausal(q, k, v, cfg, clusters=clusters)
+    labels = getattr(clusters, field)
+    labels[0, 1, 20] = (labels[0, 1, 20] + 1) % 6  # past the first 6 tokens: no cluster empties
+    after = muse_acausal(q, k, v, cfg, clusters=clusters)
+    fresh = muse_acausal(q, k, v, cfg, clusters=MuseClusters(q_assign=clusters.q_assign.copy(),
+                                                             k_assign=clusters.k_assign.copy()))
+    assert np.array_equal(after.y, fresh.y) and np.array_equal(after.mu, fresh.mu)
+    assert np.array_equal(after.y[0, 0], before.y[0, 0]) and not np.array_equal(after.y[0, 1], before.y[0, 1])
+    labels[0, 1] = 0  # empties clusters 1-5 of slice (0, 1), which a kept layout must not hide
+    with pytest.raises(ValueError, match="empty cluster"):
+        muse_acausal(q, k, v, cfg, clusters=clusters)
+
+
+def test_frozen_layouts_are_thread_count_invariant():
+    q, k, v = make_qkv(57, b=2, h=3, n=64, d=8)
+    cfg = MuseConfig(c_q=8, c_k=8, seed=1)
+    clusters = cluster_tokens(q, k, cfg, threads=4)
+    runs = [muse_acausal(q, k, v, cfg, threads=t, clusters=clusters) for t in (1, 4, 1, 4)]
+    for r in runs[1:]:
+        assert np.array_equal(r.y, runs[0].y) and np.array_equal(r.mu, runs[0].mu)
+    # a fresh copy fills its kept layouts from 4 workers at once; a short switch
+    # interval makes a lost update likely if writes to them could race
+    fresh = MuseClusters(q_assign=clusters.q_assign.copy(), k_assign=clusters.k_assign.copy())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        r = muse_acausal(q, k, v, cfg, threads=4, clusters=fresh)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(r.y, runs[0].y) and np.array_equal(r.mu, runs[0].mu)
+    assert len(fresh._layouts) == 2 * 2 * 3
 
 
 @pytest.mark.parametrize("field, label", [("q_assign", 3), ("q_assign", -1), ("k_assign", 4)])

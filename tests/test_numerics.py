@@ -121,7 +121,7 @@ def test_exp_logsumexp_inplace_equals_separate_calls(values, dtype):
 
 
 def test_exp_logsumexp_inplace_errors():
-    # stable_softmax and stable_logsumexp raise through this one entry point
+    # stable_softmax raises as this entry point of stable_logsumexp does, both through max_shift
     for fn in (exp_logsumexp_inplace, stable_softmax):
         with pytest.raises(ValueError, match="NaN"):
             fn(np.array([[0.0, np.nan], [1.0, 2.0]]))

@@ -44,6 +44,8 @@ def test_traced_clustered_call_counts_its_layers():
     assert metrics["clustering.kmeans.calls"] == 4 and metrics["multipole.muse_acausal.calls"] == 1
     for name in ("clustering.cap_assign.ms", "multipole.stage1.ms", "multipole.final_stage.ms"):
         assert metrics[name] > 0, name
+    # the dipole softmax of aggregate_dipoles is the stages' one numerics softmax
+    assert metrics["numerics.in_multipole.calls"] > 0
     assert metrics["multipole.key_padded_frac"] >= 1 and metrics["multipole.query_padded_frac"] >= 1
     # the padding counters read one block per cluster: 2 slices of 64 keys and queries
     assert stats.n["key_tokens"] == stats.n["query_tokens"] == 128
