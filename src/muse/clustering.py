@@ -298,5 +298,4 @@ def decompose(x: np.ndarray, clustering: Clustering) -> np.ndarray:
 
 def inertia(x: np.ndarray, clustering: Clustering) -> float:
     """Sum of squared distances from each token to its assigned centroid."""
-    r = x - clustering.centroids[clustering.assignments]
-    return float(np.sum(r.astype(np.float64) ** 2))
+    return float(np.sum(decompose(x, clustering).astype(np.float64) ** 2))

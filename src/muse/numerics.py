@@ -1,5 +1,6 @@
-"""Dense-tensor substrate: dtype handling, stable reductions, the score bound
-and max shift behind every softmax in the package, seeded RNG.
+"""Dense-tensor substrate: dtype handling, the score bound and max shift
+behind every softmax in the package, the one shifted exponential behind
+`stable_softmax` and `stable_logsumexp`, seeded RNG.
 
 All attention carriers are plain numpy arrays of shape (batch, heads, n, d),
 row-major. Scores may contain -inf as a mask sentinel; NaN is never legal.
@@ -13,7 +14,6 @@ import numbers
 import numpy as np
 
 DTYPES = {"f32": np.float32, "f64": np.float64}
-DTYPE_CODES = {"f32": 0, "f64": 1}
 
 
 def resolve_dtype(dtype) -> np.dtype:
@@ -70,42 +70,52 @@ def derive_seed(seed: int, *path: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+def _shifted_exp(x: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """exp(x - max) along `axis`, written over `x`, and the maxima with
+    `axis` kept. `x` is a float copy of the scores, `result_type(scores,
+    0.0)`, so integer and bool scores run in float64; -inf entries map to
+    exactly 0. The maxima are checked with one `isfinite`; only when that
+    fails does `max_shift` see them, to raise its NaN, +inf or fully-masked
+    error. Raises on an empty reduction too.
+    """
+    if x.shape == () or x.shape[axis] == 0:
+        raise ValueError("empty reduction")
+    hi = np.max(x, axis=axis, keepdims=True)
+    if not np.isfinite(hi).all():
+        max_shift(False, lambda: hi)
+    x -= hi
+    np.exp(x, out=x)
+    return x, hi
+
+
 def stable_logsumexp(scores: np.ndarray, axis: int = -1) -> np.ndarray:
-    """max-shifted log-sum-exp along `axis`, by `exp_logsumexp_inplace` on a
-    float copy of `scores`; finite for any finite input.
+    """max-shifted log-sum-exp along `axis`, from `_shifted_exp`; finite for
+    any finite input.
 
     -inf entries act as mask sentinels and contribute exp(-inf) = 0; a fully
-    masked slice reduces to -inf. Raises as `exp_logsumexp_inplace` does on
-    an empty reduction, NaN input and a +inf score.
+    masked slice reduces to -inf. Raises on an empty reduction, NaN input
+    and a +inf score.
     """
     scores = np.asarray(scores)
     x = scores.astype(np.result_type(scores, 0.0))
     masked = np.all(x == -np.inf, axis=axis, keepdims=True)
     np.copyto(x, 0, where=masked)  # a finite shift for the fully masked slices, whose result is -inf
-    _, out = exp_logsumexp_inplace(x, axis)
-    np.copyto(out, -np.inf, where=np.squeeze(masked, axis=axis))
-    return out[()] if out.ndim == 0 else out
+    e, hi = _shifted_exp(x, axis)
+    lse = np.log(np.sum(e, axis=axis, keepdims=True))
+    lse += hi
+    np.copyto(lse, -np.inf, where=masked)
+    return np.squeeze(lse, axis=axis)[()]  # a scalar for a 1-D input
 
 
 def stable_softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Shifted softmax along `axis`, computed on a float copy of `scores`
-    (`result_type(scores, 0.0)`, as in `stable_logsumexp`, so integer and bool
-    scores run in float64). -inf entries map to exactly 0.
+    """Shifted softmax along `axis`, from `_shifted_exp` and one divide by
+    the sums. -inf entries map to exactly 0.
 
-    Raises as `exp_logsumexp_inplace` does: on an empty reduction, NaN input,
-    a +inf score and any fully masked (all -inf) slice. The row maxima are
-    taken once and checked with one `isfinite`; only when that check fails
-    does `max_shift` look at them, to raise its error. No logsumexp is taken.
+    Raises on an empty reduction, NaN input, a +inf score and any fully
+    masked (all -inf) slice.
     """
     scores = np.asarray(scores)
-    p = scores.astype(np.result_type(scores, 0.0))
-    if p.shape == () or p.shape[axis] == 0:
-        raise ValueError("empty reduction")
-    hi = np.max(p, axis=axis, keepdims=True)
-    if not np.isfinite(hi).all():
-        max_shift(False, lambda: hi)  # raises on NaN, +inf and a fully masked slice
-    p -= hi
-    np.exp(p, out=p)
+    p, _ = _shifted_exp(scores.astype(np.result_type(scores, 0.0)), axis)
     p /= np.sum(p, axis=axis, keepdims=True)
     return p
 
@@ -156,26 +166,3 @@ def max_shift(bounded, row_max) -> np.ndarray | None:
     if not np.isfinite(hi).all():
         raise ValueError("fully masked row")
     return np.where(bounded, 0, hi)
-
-
-def exp_logsumexp_inplace(scores: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
-    """Shifted exponentials, their sums and the logsumexp along `axis`, from a
-    single exp computed in place.
-
-    `scores` (a writable float array) is overwritten with exp(scores - max)
-    and left unnormalised: a caller that needs the softmax divides by the sums,
-    or divides a product of the exponentials, which is cheaper when the
-    product is narrower. Returns (sums, max + log(sums)), both with `axis`
-    removed; -inf entries map to exactly 0. Raises on an empty reduction, and
-    as `max_shift` does, with no row bounded, on NaN input, a +inf score
-    (overflow), or a fully masked (all -inf) slice.
-    """
-    if scores.shape == () or scores.shape[axis] == 0:
-        raise ValueError("empty reduction")
-    hi = max_shift(False, lambda: np.max(scores, axis=axis, keepdims=True))
-    np.subtract(scores, hi, out=scores)
-    np.exp(scores, out=scores)
-    total = np.sum(scores, axis=axis, keepdims=True)
-    lse = np.log(total)
-    lse += hi
-    return np.squeeze(total, axis=axis), np.squeeze(lse, axis=axis)

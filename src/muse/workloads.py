@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (DTYPE_CODES, check_integer, check_seed, check_tensor4, derive_seed, make_rng,
-                       resolve_dtype)
+from .numerics import check_integer, check_seed, check_tensor4, derive_seed, make_rng, resolve_dtype
 
 MAGIC = b"MUSEQKV1"
 _HEADER = struct.Struct("<6I")  # version, dtype code, batch, heads, n, d
+_PAYLOAD_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}  # dtype code -> payload dtype
 
 
 @dataclass
@@ -139,8 +139,7 @@ def save_qkv(path, q, k, v) -> None:
         raise ValueError("q/k/v must share one shape")
     if q.dtype != k.dtype or k.dtype != v.dtype:
         raise ValueError("q/k/v must share one dtype")
-    code = DTYPE_CODES["f32" if q.dtype == np.float32 else "f64"]
-    le = np.dtype("<f4") if code == 0 else np.dtype("<f8")
+    code, le = next((c, le) for c, le in _PAYLOAD_DTYPES.items() if le.type is q.dtype.type)
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(_HEADER.pack(1, code, *q.shape))
@@ -162,9 +161,9 @@ def load_qkv(path):
     version, code, b, h, n, d = _HEADER.unpack_from(data, off)
     if version != 1:
         raise ValueError(f"unsupported MUSEQKV version {version}")
-    if code not in (0, 1):
+    if code not in _PAYLOAD_DTYPES:
         raise ValueError(f"unknown dtype code {code}")
-    le = np.dtype("<f4") if code == 0 else np.dtype("<f8")
+    le = _PAYLOAD_DTYPES[code]
     count = b * h * n * d
     expected = off + _HEADER.size + 3 * count * le.itemsize
     if len(data) != expected:

@@ -1,13 +1,18 @@
-"""No unused imports in src/ or tests/.
+"""No unused imports in src/ or tests/, and no unread definitions in src/muse.
 
 A name that an import statement binds must be read somewhere in its module,
 or be listed in the module's `__all__`. Import statements with a line marked
 `# noqa: F401` are skipped: they keep names importable for
 `perfbench/tracing.py`, which wraps them, and under src/ each name they bind
 must be one that the tracer's HOOKS wrap in that module.
+
+A top-level function or class of src/muse must be read, outside its own
+body, somewhere in src/, scripts/ or perfbench/, or be listed in an
+`__all__` there, so a helper that loses its last caller fails the suite.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -16,6 +21,21 @@ from test_perfbench_hooks import load_tracing
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(p for top in ("src", "tests") for p in (ROOT / top).rglob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "muse").rglob("*.py"))
+READERS = sorted(p for top in ("scripts", "perfbench") for p in (ROOT / top).rglob("*.py"))
+
+
+def all_names(tree: ast.AST) -> set[str]:
+    """The names that the `__all__` assignments of `tree` list."""
+    return {e.value for node in ast.walk(tree)
+            if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for e in ast.walk(node.value) if isinstance(e, ast.Constant)}
+
+
+def read_names(tree: ast.AST) -> Counter:
+    """How often `tree` reads each name, as a bare name or an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
+                   if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) or isinstance(n, ast.Attribute))
 
 
 def bound_names(source: str) -> list[tuple[int, str, bool]]:
@@ -35,10 +55,7 @@ def unused_imports(source: str) -> list[str]:
     """The names that `source`'s unmarked import statements bind and nothing
     reads, as "line: name"."""
     tree = ast.parse(source)
-    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            read |= {e.value for e in ast.walk(node.value) if isinstance(e, ast.Constant)}
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | all_names(tree)
     return [f"{line}: {name}" for line, name, kept in bound_names(source) if not kept and name not in read]
 
 
@@ -61,3 +78,30 @@ def test_kept_imports_are_tracer_hooks():
             for path in FILES if path.is_relative_to(ROOT / "src")
             for _, name, marked in bound_names(path.read_text()) if marked]
     assert kept and [f"{mod}.{name}" for mod, name in kept if (mod, name) not in hooks] == []
+
+
+def unread_definitions(package: dict[str, str], others: list[str]) -> list[str]:
+    """The top-level functions and classes of `package` (module name to
+    source) that neither the package nor the `others` sources read outside
+    their own body, and no `__all__` lists, as "module: name"."""
+    reads, exported = Counter(), set()
+    for source in [*package.values(), *others]:
+        tree = ast.parse(source)
+        reads += read_names(tree)
+        exported |= all_names(tree)
+    return [f"{module}: {node.name}" for module, source in package.items() for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in exported
+            and reads[node.name] == read_names(node)[node.name]]
+
+
+def test_the_check_sees_unread_definitions():
+    package = {"a": "def used():\n    pass\n\ndef recursive(n):\n    return recursive(n - 1)\n\n"
+                    "class Kept:\n    pass\n\ndef orphan():\n    used()\n",
+               "b": "from .a import Kept, used  # noqa: F401\n__all__ = ['Kept']\n\ndef run(x):\n    return x.run()\n"}
+    assert unread_definitions(package, []) == ["a: recursive", "a: orphan", "b: run"]
+    assert unread_definitions(package, ["b.run(a.recursive(3))\n"]) == ["a: orphan"]
+
+
+def test_every_definition_is_read():
+    package = {str(p.relative_to(ROOT)): p.read_text() for p in PACKAGE}
+    assert unread_definitions(package, [p.read_text() for p in READERS]) == []

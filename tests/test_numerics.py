@@ -10,7 +10,6 @@ from muse.numerics import (
     check_seed,
     check_tensor4,
     derive_seed,
-    exp_logsumexp_inplace,
     make_rng,
     resolve_dtype,
     stable_logsumexp,
@@ -109,41 +108,40 @@ def test_softmax_of_integer_and_bool_scores_runs_in_float64(scores):
 @given(st.lists(st.floats(min_value=-100, max_value=100) | st.just(-np.inf), min_size=6, max_size=30),
        st.sampled_from([np.float32, np.float64]))
 @settings(max_examples=100, deadline=None)
-def test_exp_logsumexp_inplace_equals_separate_calls(values, dtype):
+def test_softmax_and_logsumexp_share_one_shifted_exponential(values, dtype):
     s = np.array(values, dtype=dtype)[: len(values) // 3 * 3].reshape(3, -1)
     s[:, 0] = np.nan_to_num(s[:, 0], neginf=0.0)  # no fully masked row
     for axis, scores in ((-1, s), (0, np.ascontiguousarray(s.T))):
-        e = scores.copy()
-        total, lse = exp_logsumexp_inplace(e, axis=axis)
-        assert np.array_equal(total, e.sum(axis=axis))
-        assert np.array_equal(e / np.expand_dims(total, axis), stable_softmax(scores, axis=axis))
-        assert np.array_equal(lse, stable_logsumexp(scores, axis=axis))
+        hi = scores.max(axis=axis, keepdims=True)
+        e = np.exp(scores - hi)
+        total = e.sum(axis=axis, keepdims=True)
+        assert np.array_equal(stable_softmax(scores, axis=axis), e / total)
+        assert np.array_equal(stable_logsumexp(scores, axis=axis), np.squeeze(hi + np.log(total), axis))
 
 
-def test_exp_logsumexp_inplace_errors():
-    # stable_softmax raises as this entry point of stable_logsumexp does, both through max_shift
-    for fn in (exp_logsumexp_inplace, stable_softmax):
+def test_shifted_exponential_errors():
+    # both raise through max_shift (overflow: the next test); only the softmax rejects a fully masked slice
+    for fn in (stable_softmax, stable_logsumexp):
         with pytest.raises(ValueError, match="NaN"):
             fn(np.array([[0.0, np.nan], [1.0, 2.0]]))
-        with pytest.raises(ValueError, match="fully masked"):
-            fn(np.array([[0.0, 1.0], [-np.inf, -np.inf]]))
         with pytest.raises(ValueError, match="empty"):
             fn(np.zeros((2, 0)))
-        with pytest.raises(ValueError, match="score overflow"):
-            fn(np.array([[0.0, 1.0], [np.inf, -np.inf]], dtype=np.float32))
+    with pytest.raises(ValueError, match="fully masked"):
+        stable_softmax(np.array([[0.0, 1.0], [-np.inf, -np.inf]]))
+    lse = stable_logsumexp(np.array([[0.0, 1.0], [-np.inf, -np.inf]]))
+    assert lse[0] == pytest.approx(np.log1p(np.e)) and lse[1] == -np.inf
 
 
 def test_score_overflow_is_not_a_masked_row():
     # a +inf max means the scores overflowed; all -inf still means "fully masked"
-    with pytest.raises(ValueError, match="score overflow"):
-        stable_logsumexp(np.array([np.inf, 0.0]), axis=-1)
-    with pytest.raises(ValueError, match="score overflow"):
-        stable_softmax(np.array([0.0, np.inf]), axis=-1)
-    with pytest.raises(ValueError, match="score overflow"):
-        exp_logsumexp_inplace(np.array([[0.0, 1.0], [np.inf, -np.inf]], dtype=np.float32))
+    for fn in (stable_softmax, stable_logsumexp):
+        for scores in (np.array([np.inf, 0.0]), np.array([[0.0, 1.0], [np.inf, -np.inf]], dtype=np.float32)):
+            with pytest.raises(ValueError, match="score overflow"):
+                fn(scores, axis=-1)
     assert stable_logsumexp(np.array([-np.inf, -np.inf]), axis=-1) == -np.inf
+    assert np.array_equal(stable_logsumexp(np.array([[-np.inf, -np.inf]])), [-np.inf])
     with pytest.raises(ValueError, match="fully masked"):
-        exp_logsumexp_inplace(np.array([[-np.inf, -np.inf]]))
+        stable_softmax(np.array([[-np.inf, -np.inf]]))
 
 
 def test_make_rng_reproducible():
