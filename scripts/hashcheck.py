@@ -6,8 +6,10 @@ For instances 0 and 1 of each workload of CHECKOUT/perfbench/run.py, at seeds
 0 and 1000003, it hashes the `cluster_tokens` labels and the outputs (y, mu) of
 `muse_acausal` (clustering in the call, and with those labels frozen), of
 `muse_causal` (the workload's block size, or 256 for an acausal workload), of
-`muse_acausal` under the no_dipole and no_monopole ablations, and of the exact
-`attend` and `attend_causal`, each array with its dtype and shape. It then
+`muse_acausal` under the no_dipole and no_monopole ablations, of the exact
+`attend` and `attend_causal`, and of `attend_causal` on the first n - 129
+tokens, whose last row tile is partial and whose last diagonal key chunk ends
+mid-tile, each array with its dtype and shape. It then
 hashes the timing-free JSON report of `ablation_run` on the inputs and base
 config of acceptance check 05, with 5 seeds. `WORKLOADS` and
 `instance_seed` come from that run.py, loaded without a change, and `muse`
@@ -40,6 +42,7 @@ import numpy as np  # noqa: E402
 SEEDS = (0, 1000003)
 INSTANCES = (0, 1)
 CAUSAL_BLOCK = 256  # b of muse_causal on the acausal workloads
+RAGGED = 129  # every workload's n is a multiple of 256, so n - 129 leaves a last row tile of 127
 F32_EPS = float(np.finfo(np.float32).eps)
 
 
@@ -54,7 +57,8 @@ def outputs(muse, wl, q, k, v, config):
                **{f"muse_acausal_{a}": muse.muse_acausal(q, k, v, replace(config, ablation=a))
                   for a in ("no_dipole", "no_monopole")},
                "attend": muse.attend(q, k, v),
-               "attend_causal": muse.attend_causal(q, k, v)}
+               "attend_causal": muse.attend_causal(q, k, v),
+               "attend_causal_ragged": muse.attend_causal(*(a[:, :, :-RAGGED] for a in (q, k, v)))}
     for name, r in results.items():
         yield f"{name}.y", r.y
         yield f"{name}.mu", r.mu

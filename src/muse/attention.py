@@ -90,7 +90,9 @@ def _attend(q, k, v, bias, scale, threads, causal=False) -> AttentionResult:
     [0, up) when causal) and takes them in chunks of KEY_TILE columns. A
     chunk's scores get the bias added in place and, when causal, -inf written
     where key j comes after row i; keys before the tile's first row are seen
-    by all its rows, so the mask starts at column lo.
+    by all its rows, so the mask starts at column lo. It is a view of one
+    TILE x TILE strict upper triangle, built once per causal call: a tile's
+    keys from lo on end at its last row, within TILE of lo.
 
     A row that `bounded_rows` proves bounded, from the largest key and value
     norms over the keys it can see (for a causal row the prefix j <= i, so a
@@ -118,6 +120,8 @@ def _attend(q, k, v, bias, scale, threads, causal=False) -> AttentionResult:
     n_k = k.shape[2]
     y = np.empty((b, h, n_q, d), dtype=q.dtype)
     mu = np.empty((b, h, n_q), dtype=q.dtype)
+    # later[r, c]: column lo + c comes after row lo + r, for every tile's lo
+    later = np.arange(TILE) > np.arange(TILE)[:, None] if causal else None
 
     def run(i):
         bi, hi = divmod(i, h)
@@ -138,7 +142,7 @@ def _attend(q, k, v, bias, scale, threads, causal=False) -> AttentionResult:
                 s += bs[c0:c1]
             if causal and lo < c1:  # every row of the tile sees the keys before lo
                 m0 = max(c0, lo)
-                np.copyto(s[:, m0 - c0:], -np.inf, where=np.arange(m0, c1) > np.arange(lo, up)[:, None])
+                np.copyto(s[:, m0 - c0:], -np.inf, where=later[:up - lo, m0 - lo:c1 - lo])
             return s
 
         for lo in range(0, n_q, TILE):

@@ -39,11 +39,13 @@ class Clustering:
     `order` lists the token ids sorted by cluster, ascending within each
     cluster; cluster j is order[offsets[j]:offsets[j + 1]]. centroids[j] is
     the mean of its member vectors, in an array of its own (never one that
-    k-means worked in).
+    k-means worked in). A bare layout has centroids None: `MuseClusters`
+    keeps its layouts so, and the frozen key side of `muse_acausal`, which
+    reads only `groups`, gets one.
     """
 
     assignments: np.ndarray  # (n,) int64
-    centroids: np.ndarray  # (c, d)
+    centroids: np.ndarray | None  # (c, d)
     order: np.ndarray = field(repr=False)  # (n,) int64
     offsets: np.ndarray = field(repr=False)  # (c + 1,) int64
 
@@ -59,9 +61,8 @@ class Clustering:
         return [rows[a:b] for a, b in pairwise(self.offsets.tolist())]
 
     def recentered(self, x: np.ndarray) -> "Clustering":
-        """The same labels and layout over new tokens x, with their member-mean
-        centroids; bitwise the clustering `clustering_from_assignments` builds
-        from these labels over x. The label and layout arrays are shared."""
+        """The same labels and layout over tokens x, with their member-mean
+        centroids. The label and layout arrays are shared."""
         return replace(self, centroids=_means(x, self.order, self.offsets))
 
 
@@ -96,6 +97,15 @@ def clustering_from_assignments(x: np.ndarray, assign: np.ndarray, c: int) -> Cl
     if assign.shape != x.shape[:1]:
         raise ValueError(f"need one label per token: labels of shape {assign.shape} "
                          f"for {x.shape[0]} tokens")
+    out = _checked_layout(assign, c)
+    out.centroids = _means(x, out.order, out.offsets)
+    return out
+
+
+def _checked_layout(assign: np.ndarray, c: int) -> Clustering:
+    """The bare layout (centroids None) of labels in [0, c), with a private
+    int64 copy of them. Labels that are not integers, an id outside [0, c)
+    and an empty cluster are rejected."""
     if not np.issubdtype(assign.dtype, np.integer):
         raise ValueError(f"labels must be integers, got {assign.dtype}")
     if assign.size and (assign.min() < 0 or assign.max() >= c):
@@ -103,8 +113,7 @@ def clustering_from_assignments(x: np.ndarray, assign: np.ndarray, c: int) -> Cl
     order, offsets = _layout(assign, c)
     if np.diff(offsets).min() == 0:
         raise ValueError("assignment leaves an empty cluster")
-    return Clustering(assignments=assign.astype(np.int64), centroids=_means(x, order, offsets),
-                      order=order, offsets=offsets)
+    return Clustering(assignments=assign.astype(np.int64), centroids=None, order=order, offsets=offsets)
 
 
 def _scores(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:

@@ -28,12 +28,12 @@ cluster per token, or with zero query residuals, the output is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .attention import AttentionResult, _check_qk, _check_qkv, _map_slices
-from .clustering import Clustering, clustering_from_assignments, decompose, kmeans
+from .clustering import Clustering, _checked_layout, decompose, kmeans
 from .numerics import (bounded_rows, check_integer, check_seed, derive_seed, make_rng, max_shift, sq_norms,
                        stable_softmax)
 # perfbench/tracing.py wraps muse.multipole.stable_logsumexp, so the name stays importable here
@@ -277,30 +277,30 @@ def final_stage(residual_clusters: list, summaries: ClusterSummaries,
 class MuseClusters:
     """Frozen per-slice cluster assignments, reusable across perturbed inputs.
 
-    A call with these clusters recomputes only the member-mean centroids from
-    the points it is given. Each slice's query and key layout (the stable
-    order by label and the cluster offsets) is built on the first call that
-    needs it, or taken from the k-means of `cluster_tokens`, and kept with a
-    private copy of its labels. A later call reuses the layout while the
-    labels equal that copy, and rebuilds it for labels edited in place or
-    replaced, which costs one comparison per slice side.
+    A call with these clusters recomputes only the member-mean centroids of
+    the queries from the points it is given; the keys need none. Each
+    slice's query and key layout (the stable order by label and the cluster
+    offsets) is built on the first call that needs it, or taken from the
+    k-means of `cluster_tokens`, and kept with a private copy of its labels.
+    A later call reuses the layout while the labels equal that copy, and
+    rebuilds it for labels edited in place or replaced, which costs one
+    comparison per slice side.
     """
 
     q_assign: np.ndarray  # (batch, heads, n_q) int64
     k_assign: np.ndarray  # (batch, heads, n_k) int64
-    # (label field, batch, head, c) -> the Clustering of those labels, whose
-    # assignments are the private copy
+    # (label field, batch, head, c) -> the bare layout (a Clustering without
+    # centroids) of those labels, whose assignments are the private copy
     _layouts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def _clustering(self, name: str, x: np.ndarray, bi: int, hi: int, c: int) -> Clustering:
-        """The clustering of x that the labels `name` give slice (bi, hi), on
-        the kept layout of those labels if they have not changed."""
+    def _layout(self, name: str, bi: int, hi: int, c: int) -> Clustering:
+        """The bare layout of the labels `name` give slice (bi, hi): the kept
+        one if they have not changed, else a fresh one, kept."""
         labels = getattr(self, name)[bi, hi]
         kept = self._layouts.get((name, bi, hi, c))
-        if kept is not None and np.array_equal(kept.assignments, labels):
-            return kept.recentered(x)
-        self._layouts[name, bi, hi, c] = fresh = clustering_from_assignments(x, labels, c)
-        return fresh
+        if kept is None or not np.array_equal(kept.assignments, labels):
+            self._layouts[name, bi, hi, c] = kept = _checked_layout(labels, c)
+        return kept
 
 
 def _check_clusters(clusters: MuseClusters, b: int, h: int, n_q: int, n_k: int, config: MuseConfig):
@@ -321,10 +321,11 @@ def _check_clusters(clusters: MuseClusters, b: int, h: int, n_q: int, n_k: int, 
 def _cluster_slice(qs, ks, config: MuseConfig, bi: int, hi: int,
                    clusters: MuseClusters | None = None) -> tuple[Clustering, Clustering]:
     """Query and key clusterings of one (batch, head) slice: capped k-means with
-    per-slice seeds, or the frozen labels of `clusters` with fresh centroids."""
+    per-slice seeds, or the frozen labels of `clusters`: the queries with fresh
+    centroids, the keys as a bare layout, since only their `groups` are read."""
     if clusters is not None:
-        return (clusters._clustering("q_assign", qs, bi, hi, config.c_q),
-                clusters._clustering("k_assign", ks, bi, hi, config.c_k))
+        return (clusters._layout("q_assign", bi, hi, config.c_q).recentered(qs),
+                clusters._layout("k_assign", bi, hi, config.c_k))
     return (kmeans(qs, config.c_q, config.kmeans_iters, config.cap_ratio,
                    make_rng(derive_seed(config.seed, bi, hi, 0))),
             kmeans(ks, config.c_k, config.kmeans_iters, config.cap_ratio,
@@ -347,8 +348,8 @@ def cluster_tokens(q, k, config: MuseConfig, threads: int = 1) -> MuseClusters:
         qc, kc = _cluster_slice(qs, k[bi, hi], config, bi, hi)
         out.q_assign[bi, hi] = qc.assignments
         out.k_assign[bi, hi] = kc.assignments
-        out._layouts["q_assign", bi, hi, config.c_q] = qc
-        out._layouts["k_assign", bi, hi, config.c_k] = kc
+        out._layouts["q_assign", bi, hi, config.c_q] = replace(qc, centroids=None)
+        out._layouts["k_assign", bi, hi, config.c_k] = replace(kc, centroids=None)
 
     _map_slices(run, b * h, threads)
     return out

@@ -29,12 +29,18 @@ def resolve_dtype(dtype) -> np.dtype:
 
 
 def check_tensor4(x: np.ndarray, name: str = "tensor") -> np.ndarray:
-    """Validate a (batch, heads, n, d) array: 4 axes, float dtype, all finite."""
+    """Validate a (batch, heads, n, d) array: 4 axes, float dtype, all finite.
+    A float32 or float64 array in non-native byte order (as `np.frombuffer`
+    gives on big-endian data) comes back converted to native order, values
+    unchanged; a native array is returned as given."""
     x = np.asarray(x)
     if x.ndim != 4:
         raise ValueError(f"{name} must have shape (batch, heads, n, d), got ndim={x.ndim}")
-    if x.dtype not in (np.float32, np.float64):
+    native = x.dtype.newbyteorder("=")
+    if native not in (np.float32, np.float64):
         raise ValueError(f"{name} must be float32 or float64, got {x.dtype}")
+    if not x.dtype.isnative:
+        x = x.astype(native)
     if not np.isfinite(x).all():
         raise ValueError(f"{name} contains non-finite entries")
     return x

@@ -532,6 +532,63 @@ def test_strict_causality_across_the_bound(t, entry, dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shifted", [False, True])
+@pytest.mark.parametrize("n", [TILE - 1, TILE + 1, KEY_TILE + TILE // 2 + 1])
+def test_causal_mask_geometry_on_a_diagonal_chunk(n, shifted, dtype):
+    # for each row i of the tile holding row n - 2 (its diagonal chunk starts at
+    # the tile's first row lo), every key and value after i is perturbed: rows
+    # <= i must not move, so the mask hides no later key, and the unperturbed
+    # call matches the reference, so it hides no earlier one. shifted: key and
+    # value lo x 1e3 put every row from lo on the shifted route
+    q, k, v = (a.astype(dtype) for a in boundary_qkv(n))
+    lo = (n - 2) // TILE * TILE
+    if shifted:
+        k[:, :, lo] *= 1e3
+        v[:, :, lo] *= 1e3
+        assert 0.25 * np.linalg.norm(q[0, 0, lo:], axis=1).min() * np.linalg.norm(k[0, 0, lo]) > score_bound(dtype)
+    base = attend_causal(q, k, v)
+    want = chunked_reference(q, k, v, causal=True)
+    if shifted:
+        # a score rounds by about eps * scale * |q_i| * |k_j|, so the gate of
+        # assert_rows_match grows with the largest such bound over row i's keys
+        norms = [np.linalg.norm(a[0, 0].astype(np.float64), axis=1) for a in (q, k)]
+        tol = (1e-12 if dtype == np.float64 else 64 * float(np.finfo(np.float32).eps)) * (
+            1.0 + 0.25 * norms[0] * np.maximum.accumulate(norms[1]))
+        for got, ref, t in ((base.y[0, 0], want[0], tol[:, None]), (base.mu[0, 0], want[1], tol)):
+            assert np.all(np.abs(got - ref) <= t * (1.0 + np.abs(ref))), np.max(np.abs(got - ref))
+    else:
+        assert_rows_match(base, slice(None), want, dtype)
+    rng = np.random.default_rng(n)
+    for i in range(lo, n - 1):
+        k2, v2 = k.copy(), v.copy()
+        k2[:, :, i + 1:] += rng.normal(size=k2[:, :, i + 1:].shape).astype(dtype)
+        v2[:, :, i + 1:] += rng.normal(size=v2[:, :, i + 1:].shape).astype(dtype)
+        bumped = attend_causal(q, k2, v2)
+        assert np.array_equal(base.y[:, :, :i + 1], bumped.y[:, :, :i + 1]), i
+        assert np.array_equal(base.mu[:, :, :i + 1], bumped.mu[:, :, :i + 1]), i
+        # a row that key lo dominates gives the perturbed keys zero weight
+        assert shifted or not np.array_equal(base.y[:, :, i + 1], bumped.y[:, :, i + 1]), i
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_non_native_byte_order_gives_the_native_results(dtype):
+    # arrays read with np.frombuffer from data of the other byte order
+    q, k, v = make_qkv(31, b=1, h=2, n=2 * TILE, d=6, dtype=dtype)
+    swapped = [a.astype(a.dtype.newbyteorder("S")) for a in (q, k, v)]
+    assert not swapped[0].dtype.isnative and np.array_equal(swapped[0], q)
+    cfg = MuseConfig(c_q=4, c_k=4, seed=0)
+    calls = {**ENTRY_POINTS, "muse_acausal": lambda q, k, v: muse_acausal(q, k, v, cfg),
+             "muse_causal": lambda q, k, v: muse_causal(q, k, v, cfg, b=64)}
+    for name, call in calls.items():
+        want, got = call(q, k, v), call(*swapped)
+        for a, b in ((got.y, want.y), (got.mu, want.mu)):
+            assert a.dtype == dtype and np.array_equal(a, b), name  # equals the numpy type only when native
+    ints = [a.astype(np.dtype(np.int32).newbyteorder("S")) for a in (q, k, v)]
+    with pytest.raises(ValueError, match=f"q must be float32 or float64, got {ints[0].dtype.str}"):
+        attend(*ints)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
 def test_threads_bit_identical_with_unbounded_rows(entry, dtype):
     q, k, v = make_qkv(29, b=2, h=3, n=TILE + 44, d=6, dtype=dtype)

@@ -677,6 +677,23 @@ def test_frozen_layouts_are_thread_count_invariant():
     assert len(fresh._layouts) == 2 * 2 * 3
 
 
+def test_frozen_calls_take_member_means_of_the_queries_only(monkeypatch):
+    # the key side feeds stage 1 through its layout alone; neither it nor a kept
+    # layout carries centroids, which would be stale on the next inputs
+    cfg = MuseConfig(c_q=8, c_k=8, seed=3)
+    q, k, v = make_qkv(58, b=2, h=2, n=64, d=8)
+    means, calls = muse.clustering._means, []
+    monkeypatch.setattr(muse.clustering, "_means", lambda *a: calls.append(a) or means(*a))
+    for clusters in (cluster_tokens(q, k, cfg), fixed_clusters(59, 64, 8, 8, b=2, h=2)):
+        calls.clear()
+        muse_acausal(q, k, v, cfg, clusters=clusters)
+        assert len(calls) == 2 * 2
+        assert len(clusters._layouts) == 2 * 2 * 2
+        assert all(kept.centroids is None for kept in clusters._layouts.values())
+        qc, kc = muse.multipole._cluster_slice(q[0, 0] * cfg.resolve_scale(8), k[0, 0], cfg, 0, 0, clusters)
+        assert kc.centroids is None and qc.centroids is not None
+
+
 @pytest.mark.parametrize("field, label", [("q_assign", 3), ("q_assign", -1), ("k_assign", 4)])
 def test_frozen_labels_out_of_range_rejected(field, label):
     # every cluster keeps a member, so only the range check can catch the label
