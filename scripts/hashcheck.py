@@ -22,7 +22,12 @@ from CHECKOUT/src. Run it once per checkout and compare the digests:
 --save writes every hashed array to an .npz file. --against reads such a
 file and prints, per workload and output, "bitwise equal" or the largest
 |new - ref| / (1 + |ref|) over both seeds and instances in float32 eps (for
-labels and the report's bytes: how many differ).
+labels and the report's bytes: how many differ). Under a clustered y that is
+not bitwise equal it prints one more line: the mean over seeds and instances
+of its rel_sq_error against the exact output of the same checkout (`attend`
+for `muse_acausal`, `attend_causal` for `muse_causal`), saved file -> this
+checkout, since a drift in eps does not say whether the approximation got
+better or worse.
 """
 
 import os
@@ -44,6 +49,8 @@ INSTANCES = (0, 1)
 CAUSAL_BLOCK = 256  # b of muse_causal on the acausal workloads
 RAGGED = 129  # every workload's n is a multiple of 256, so n - 129 leaves a last row tile of 127
 F32_EPS = float(np.finfo(np.float32).eps)
+EXACT = {"muse_causal.y": "attend_causal.y",  # the exact output each clustered y approximates
+         **{f"muse_acausal{s}.y": "attend.y" for s in ("", "_frozen", "_no_dipole", "_no_monopole")}}
 
 
 def outputs(muse, wl, q, k, v, config):
@@ -86,14 +93,25 @@ def drift(new, ref):
     return np.max(np.abs(new.astype(np.float64) - ref64) / (1.0 + np.abs(ref64))) / F32_EPS
 
 
+def rel_sq_error(y, exact):
+    """||exact - y||^2 / ||exact||^2 in float64, as `muse.rel_sq_error`."""
+    exact = exact.astype(np.float64)
+    return float(np.sum((exact - y) ** 2) / np.sum(exact * exact))
+
+
 def report(arrays, against):
-    """Per workload and output name, the worst drift over seeds and instances."""
-    drifts = {}
+    """Per workload and output name, the worst drift over seeds and instances,
+    and for a clustered y that moved, its mean error before and after."""
+    drifts, errors = {}, {}
     with np.load(against) as ref:
         for key, a in arrays.items():
             wl, *_, name = key.split("/")
             d = drift(a, ref[key]) if key in ref.files else f"missing from {against}"
             drifts.setdefault((wl, name), []).append(d)
+            exact = f"{key.rsplit('/', 1)[0]}/{EXACT.get(name)}"
+            if name in EXACT and key in ref.files and exact in ref.files:
+                errors.setdefault((wl, name), []).append(
+                    (rel_sq_error(ref[key], ref[exact]), rel_sq_error(a, arrays[exact])))
     for (wl, name), ds in drifts.items():
         notes = [d for d in ds if isinstance(d, str)]
         eps = [d for d in ds if isinstance(d, float)]
@@ -104,6 +122,9 @@ def report(arrays, against):
         else:
             text = "bitwise equal"
         print(f"{wl} {name}: {text}")
+        if text != "bitwise equal" and (wl, name) in errors:
+            before, after = np.mean(errors[wl, name], axis=0)
+            print(f"{wl} {name}: mean rel_sq_error against {EXACT[name]} {before:.6g} -> {after:.6g}")
 
 
 def main(argv=None):

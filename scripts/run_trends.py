@@ -10,11 +10,15 @@ experiment to --out-dir. Three choices needed the sweeps:
 
 1. The ablation workload (component scale and clustering capacity). The
    no_monopole mode only loses badly when attention is sharp, which needs
-   well-separated mixture components; but the capacity cap plus squared-norm
-   seeding can then split components across clusters, polluting the
-   value-key covariance and flipping the full vs no_dipole ordering. The
-   sweep shows the interaction and why centroid_scale=1.2 with
-   cap_ratio=3.0 and C=128 satisfies both requirements.
+   well-separated mixture components; but the capacity cap can then split
+   a component across clusters (uniform seeding puts several seeds in one
+   component and none in another), polluting the value-key covariance and
+   flipping the full vs no_dipole ordering in some seed. With 5 seeds the
+   sweep shows no_monopole above 0.5 from centroid_scale=1.1 on, the
+   ordering holding at cap_ratio=1.5 and C=64 only up to scale 1.1, and at
+   cap_ratio=3.0 and C=128 up to 1.2 but not at 1.3: centroid_scale=1.2
+   with cap_ratio=3.0 and C=128 is the sharpest point that satisfies both
+   requirements.
 
 2. The cluster-count workload. With strong cluster structure the error is
    dominated by which components get split, not by C, so the quadrupling

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import bounded_rows, check_integer, check_tensor4, max_shift, sq_norms, stable_logsumexp
+from .numerics import bounded_rows, check_integer, check_real, check_tensor4, max_shift, sq_norms, stable_logsumexp
 # perfbench/tracing.py wraps muse.attention.stable_softmax, so the name stays importable here
 from .numerics import stable_softmax  # noqa: F401
 
@@ -114,6 +114,7 @@ def _attend(q, k, v, bias, scale, threads, causal=False) -> AttentionResult:
     """
     if scale is None:
         scale = 1.0 / math.sqrt(q.shape[3])
+    check_real(scale, "scale")
     if not 0 < scale < math.inf:
         raise ValueError("scale must be positive and finite")
     b, h, n_q, d = q.shape

@@ -1,8 +1,8 @@
 """Capped K-means over token vectors.
 
-k-means works on the tokens less their mean. Initialization samples points
-proportional to their squared norm there (Gumbel-top-k), a fixed number of
-uncapped Lloyd iterations follow, and a final capacity-capped assignment
+k-means works on the tokens less their mean. Initialization draws c distinct
+tokens uniformly (the top c of n Gumbel keys), a fixed number of uncapped
+Lloyd iterations follow, and a final capacity-capped assignment
 plus one recentering on the tokens as given produce the segment-sorted
 layout the summary stages consume. Every pass ranks centroids by the scores
 ||c||^2 - 2 x.c, one product per pass; only the empty-cluster repair, which
@@ -22,14 +22,16 @@ from itertools import pairwise
 
 import numpy as np
 
-from .numerics import sq_norms
+from .numerics import check_integer, check_real, sq_norms
 
 
 @dataclass
 class CentroidInit:
     centroids: np.ndarray  # (c, d)
     indices: np.ndarray  # (c,) token indices chosen
-    uniform_fallback: bool  # True when squared-norm weights were unusable
+    # always False: the uniform draw has no fallback. Kept because perfbench/tracing.py
+    # counts it as clustering.init_fallbacks; it goes with the tracer's other hooks
+    uniform_fallback: bool
 
 
 @dataclass
@@ -135,31 +137,18 @@ def _scores(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 
 def init_centroids(x: np.ndarray, c: int, rng: np.random.Generator) -> CentroidInit:
-    """Sample c distinct token indices with probability proportional to ||x_i||^2,
-    one after another without replacement (successive sampling), as the top c
-    of log ||x_i||^2 plus Gumbel noise (Gumbel-top-k), in drawing order.
-    `kmeans` passes its tokens centered, so there the weights are squared
-    distances to the token mean.
-
-    A zero-norm token is never drawn. Falls back to uniform sampling (flagged)
-    when fewer than c points carry positive squared norm.
-    """
+    """Draw c distinct token indices uniformly without replacement, in drawing
+    order, as the top c of n Gumbel keys (Gumbel-top-k with equal weights).
+    The draw depends on n, c and the generator only, never on the tokens."""
     x = np.asarray(x)
     n = x.shape[0]
+    check_integer(c, "c")
     if not 1 <= c <= n:
         raise ValueError(f"need 1 <= c <= n, got c={c}, n={n}")
-    w = sq_norms(x.astype(np.float64, copy=False))
-    fallback = np.count_nonzero(w) < c
-    if fallback:
-        idx = rng.choice(n, size=c, replace=False)
-    else:
-        with np.errstate(divide="ignore"):
-            keys = np.log(w)  # -inf at zero norm: never among the top c
-        keys += rng.gumbel(size=n)
-        idx = np.argpartition(-keys, c - 1)[:c]
-        idx = idx[np.argsort(-keys[idx], kind="stable")]
-    idx = np.asarray(idx, dtype=np.int64)
-    return CentroidInit(centroids=x[idx], indices=idx, uniform_fallback=fallback)
+    keys = rng.gumbel(size=n)
+    idx = np.argpartition(-keys, c - 1)[:c]
+    idx = idx[np.argsort(-keys[idx], kind="stable")]
+    return CentroidInit(centroids=x[idx], indices=idx, uniform_fallback=False)
 
 
 def _repair_empties(x, centroids, assign):
@@ -258,10 +247,9 @@ def kmeans(
     returned cluster is empty, and the centroids are a fresh array of member
     means of the tokens as given.
 
-    The iterations run on the tokens less their mean, so seeding weights and
-    scores do not grow with a shift shared by all tokens: squared-norm
-    seeding draws by squared distance to the mean, and no score cancels a
-    large ||x||^2. `init` replaces that seeding with a given `CentroidInit`
+    Seeding draws c distinct tokens uniformly (`init_centroids`). The
+    iterations run on the tokens less their mean, so no score cancels a large
+    ||x||^2. `init` replaces that seeding with a given `CentroidInit`
     whose (c, d) centroids, in the tokens' own coordinates, start the
     iterations (tests use it to share one seeding across calls).
     """
@@ -271,21 +259,23 @@ def kmeans(
     if not (np.isfinite(x.min(initial=0.0)) and np.isfinite(x.max(initial=0.0))):  # NaN propagates
         raise ValueError("x contains non-finite entries")
     n = x.shape[0]
+    check_integer(c, "c")
+    check_integer(iters, "iters")
+    check_real(cap_ratio, "cap_ratio")
     if c > n:
         raise ValueError("more clusters than points")
     if c < 1 or iters < 1:
         raise ValueError("need c >= 1 and iters >= 1")
     if not 1.0 <= cap_ratio < math.inf:
         raise ValueError("cap_ratio must be finite and >= 1")
-    if init is not None and np.shape(init.centroids) != (c, x.shape[1]):
+    if init is None:
+        init = init_centroids(x, c, rng)  # the same indices as on the centered tokens: the draw reads none
+    elif np.shape(init.centroids) != (c, x.shape[1]):
         raise ValueError("init centroids have wrong shape")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed mean fails the score bound
         mean = np.ones(n, dtype=x.dtype) @ x / n
         xc = x - mean
-        if init is None:
-            centroids = init_centroids(xc, c, rng).centroids
-        else:
-            centroids = np.asarray(init.centroids, dtype=x.dtype) - mean
+        centroids = np.asarray(init.centroids, dtype=x.dtype) - mean
 
     for _ in range(iters):
         assign = _repair_empties(xc, centroids, np.argmin(_scores(xc, centroids), axis=1))  # ties -> lowest id

@@ -24,7 +24,7 @@ import numpy as np
 from .attention import AttentionResult, attend, attend_causal
 from .causal import causal_plan, muse_causal
 from .multipole import MuseConfig, cluster_tokens, muse_acausal, rel_sq_error
-from .numerics import check_integer, derive_seed
+from .numerics import check_integer, check_real, derive_seed
 from .workloads import WorkloadSpec, generate
 
 
@@ -272,6 +272,7 @@ def fd_sensitivity(q, k, v, config: MuseConfig, direction, eps: float,
     recomputed from the perturbed queries), probing the smooth branch of the
     piecewise-smooth map.
     """
+    check_real(eps, "eps")
     if not 0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
     direction = np.asarray(direction, dtype=q.dtype)

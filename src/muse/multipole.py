@@ -34,7 +34,7 @@ import numpy as np
 
 from .attention import AttentionResult, _check_qk, _check_qkv, _map_slices
 from .clustering import Clustering, _checked_layout, decompose, kmeans
-from .numerics import (bounded_rows, check_integer, check_seed, derive_seed, make_rng, max_shift, sq_norms,
+from .numerics import (bounded_rows, check_integer, check_real, check_seed, derive_seed, make_rng, max_shift, sq_norms,
                        stable_softmax)
 # perfbench/tracing.py wraps muse.multipole.stable_logsumexp, so the name stays importable here
 from .numerics import stable_logsumexp  # noqa: F401
@@ -67,18 +67,18 @@ class MuseConfig:
 
     def __post_init__(self):
         for name in ("c_q", "c_k", "kmeans_iters", "near_min"):
-            check_integer(getattr(self, name), name)
+            value = getattr(self, name)
+            check_integer(value, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         check_seed(self.seed)
-        if self.c_q < 1 or self.c_k < 1:
-            raise ValueError("cluster counts must be >= 1")
-        if self.kmeans_iters < 1:
-            raise ValueError("kmeans_iters must be >= 1")
-        if self.near_min < 1:
-            raise ValueError("near_min must be >= 1")
+        check_real(self.cap_ratio, "cap_ratio")
         if not 1.0 <= self.cap_ratio < math.inf:
             raise ValueError("cap_ratio must be finite and >= 1")
-        if self.scale is not None and not 0 < self.scale < math.inf:
-            raise ValueError("scale must be positive and finite")
+        if self.scale is not None:
+            check_real(self.scale, "scale")
+            if not 0 < self.scale < math.inf:
+                raise ValueError("scale must be positive and finite")
         if self.ablation not in ABLATIONS:
             raise ValueError(f"unknown ablation {self.ablation!r}, expected one of {ABLATIONS}")
 

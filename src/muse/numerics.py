@@ -53,6 +53,13 @@ def check_integer(value, name: str) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def check_real(value, name: str) -> None:
+    """Reject a value that is not a Python or numpy real number, by name, before
+    it is compared with anything. A bool is a `numbers.Real` but not a number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 def check_seed(seed) -> None:
     """Reject a seed that is not a non-negative integer: None would draw fresh
     OS entropy, so two runs of one configuration would differ; a bool is not

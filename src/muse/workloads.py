@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import check_integer, check_seed, check_tensor4, derive_seed, make_rng, resolve_dtype
+from .numerics import check_integer, check_real, check_seed, check_tensor4, derive_seed, make_rng, resolve_dtype
 
 MAGIC = b"MUSEQKV1"
 _HEADER = struct.Struct("<6I")  # version, dtype code, batch, heads, n, d
@@ -44,6 +44,8 @@ class WorkloadSpec:
         if min(self.batch, self.heads, self.n, self.d) < 1:
             raise ValueError("batch/heads/n/d must be positive")
         check_seed(self.seed)
+        for name in ("spread", "centroid_scale"):
+            check_real(getattr(self, name), name)
         if self.kind == "gaussian_mixture":
             if not 0 < self.spread < math.inf:
                 raise ValueError("spread must be positive and finite")

@@ -31,12 +31,16 @@ def blob_pair(seed, n_each=40, d=4, separation=20.0):
     return np.vstack([a, b]), np.array([0] * n_each + [1] * n_each)
 
 
-def test_init_degenerate_mass():
-    x = np.zeros((6, 3))
-    x[4] = [0.0, 2.0, 0.0]
-    init = init_centroids(x, 1, make_rng(0))
-    assert init.indices.tolist() == [4]
-    assert not init.uniform_fallback
+def test_init_draw_ignores_token_values():
+    # the draw depends only on (n, c, rng): zero, huge and shifted tokens give the same indices
+    x = np.random.default_rng(0).normal(size=(20, 3))
+    for c in (1, 4, 20):
+        for trial in range(20):
+            indices = init_centroids(x, c, make_rng(trial)).indices
+            for y in (np.zeros_like(x), 1e10 * x, x + 1e4):
+                init = init_centroids(y, c, make_rng(trial))
+                assert np.array_equal(init.indices, indices)
+                assert np.array_equal(init.centroids, y[indices])
 
 
 def test_init_exhaustion_selects_every_point():
@@ -46,68 +50,47 @@ def test_init_exhaustion_selects_every_point():
     assert sorted(init.indices.tolist()) == list(range(7))
 
 
-def test_init_all_zero_falls_back_to_uniform():
-    init = init_centroids(np.zeros((10, 2)), 3, make_rng(2))
-    assert init.uniform_fallback
-    assert len(set(init.indices.tolist())) == 3
+@pytest.mark.parametrize("c", [1, 3, 5])
+def test_init_draws_c_distinct_rows(c):
+    # five tokens of positive norm, one of them tiny, among fifteen zero rows; and all-zero tokens
+    x = np.zeros((20, 3))
+    x[[2, 5, 11, 12, 19]] = np.random.default_rng(16).normal(size=(5, 3))
+    x[12] *= 1e-150
+    for tokens in (x, np.zeros((20, 3))):
+        for trial in range(200):
+            init = init_centroids(tokens, c, make_rng(trial))
+            assert not init.uniform_fallback
+            assert init.indices.dtype == np.int64 and len(set(init.indices.tolist())) == c
+            assert np.array_equal(init.centroids, tokens[init.indices])
 
 
 def test_init_equal_norms_uniform_chi_square():
-    # all points on a sphere: selection frequencies must be uniform
+    # points on a sphere, and points of unequal norm, one of them zero:
+    # selection frequencies must be uniform
     rng = np.random.default_rng(3)
     n = 8
-    x = rng.normal(size=(n, 5))
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
-    counts = np.zeros(n)
-    for trial in range(10_000):
-        init = init_centroids(x, 1, make_rng(trial))
-        counts[init.indices[0]] += 1
-    chi = stats.chisquare(counts)
-    assert chi.pvalue > 0.001, f"selection biased: counts={counts}, p={chi.pvalue}"
+    sphere = rng.normal(size=(n, 5))
+    sphere /= np.linalg.norm(sphere, axis=1, keepdims=True)
+    unequal = sphere * np.array([0.0, 1e-3, 0.5, 1.0, 2.0, 3.0, 10.0, 1e6])[:, None]
+    for x in (sphere, unequal):
+        counts = np.zeros(n)
+        for trial in range(10_000):
+            init = init_centroids(x, 1, make_rng(trial))
+            counts[init.indices[0]] += 1
+        chi = stats.chisquare(counts)
+        assert chi.pvalue > 0.001, f"selection biased: counts={counts}, p={chi.pvalue}"
 
 
-def test_init_squared_norm_weighting():
-    # one point with 3x the norm of the rest should be drawn ~9x as often
-    x = np.ones((5, 2))
-    x[0] *= 3.0
-    counts = np.zeros(5)
-    for trial in range(9000):
-        init = init_centroids(x, 1, make_rng(trial))
-        counts[init.indices[0]] += 1
-    expected = 9000 * np.array([9, 1, 1, 1, 1]) / 13
-    chi = stats.chisquare(counts, expected)
-    assert chi.pvalue > 0.001, f"counts={counts} vs expected={expected}"
-
-
-def test_init_pairs_follow_successive_sampling():
-    # c = 2 draws without replacement: the unordered pair {i, j} comes up with
-    # probability w_i w_j / W * (1 / (W - w_i) + 1 / (W - w_j)), w = ||x||^2
-    x = np.array([[1.0, 0.0], [0.0, 2.0], [1.5, 1.5], [0.5, 0.0], [0.0, 0.7]])
-    w = (x ** 2).sum(axis=1)
-    total = w.sum()
-    pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
-    trials = 10_000
-    expected = np.array([trials * w[i] * w[j] / total * (1 / (total - w[i]) + 1 / (total - w[j]))
-                         for i, j in pairs])
+def test_init_pairs_are_uniform_in_drawing_order():
+    # c = 2 draws without replacement: each ordered pair (first, second) of
+    # distinct tokens comes up with probability 1 / (n (n - 1)), whatever the norms
+    x = np.array([[1.0, 0.0], [0.0, 2.0], [1.5, 1.5], [0.5, 0.0], [0.0, 0.0]])
+    pairs = [(i, j) for i in range(5) for j in range(5) if i != j]
     counts = np.zeros(len(pairs))
-    for trial in range(trials):
-        counts[pairs.index(tuple(sorted(init_centroids(x, 2, make_rng(trial)).indices.tolist())))] += 1
-    chi = stats.chisquare(counts, expected)
-    assert chi.pvalue > 0.001, f"counts={counts} vs expected={expected}"
-
-
-@pytest.mark.parametrize("c", [1, 3, 5])
-def test_init_never_picks_a_zero_norm_token(c):
-    # five tokens of positive norm, one of them tiny, among fifteen zero rows
-    x = np.zeros((20, 3))
-    positive = [2, 5, 11, 12, 19]
-    x[positive] = np.random.default_rng(16).normal(size=(5, 3))
-    x[12] *= 1e-150
-    for trial in range(200):
-        init = init_centroids(x, c, make_rng(trial))
-        assert not init.uniform_fallback
-        assert set(init.indices.tolist()) <= set(positive) and len(set(init.indices.tolist())) == c
-        assert np.array_equal(init.centroids, x[init.indices])
+    for trial in range(10_000):
+        counts[pairs.index(tuple(init_centroids(x, 2, make_rng(trial)).indices.tolist()))] += 1
+    chi = stats.chisquare(counts)
+    assert chi.pvalue > 0.001, f"counts={counts}"
 
 
 def test_init_validation():

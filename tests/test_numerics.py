@@ -1,12 +1,16 @@
+import re
+
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from muse import MuseConfig, WorkloadSpec, attend, error_sweep
+from muse import MuseConfig, WorkloadSpec, attend, error_sweep, fd_sensitivity
+from muse.clustering import init_centroids, kmeans
 from muse.numerics import (
     check_integer,
+    check_real,
     check_seed,
     check_tensor4,
     derive_seed,
@@ -196,3 +200,37 @@ def test_bool_is_rejected_as_a_count_by_name():
         error_sweep(WorkloadSpec(n=64), [MuseConfig(c_q=4, c_k=4)], seeds=True)
     with pytest.raises(ValueError, match="seed must be a non-negative integer, got False"):
         check_seed(False)
+
+
+X = np.arange(12.0).reshape(6, 2)
+Q = np.zeros((1, 1, 4, 2))
+REJECTED = {  # each ran as 1 (a bool) or raised a bare TypeError from a comparison or numpy
+    "check_real-bool": (lambda: check_real(True, "x"), "x must be a real number, got True"),
+    "check_real-np.bool_": (lambda: check_real(np.bool_(True), "x"), "x must be a real number, got np.True_"),
+    "MuseConfig.cap_ratio-bool": (lambda: MuseConfig(cap_ratio=True), "cap_ratio must be a real number, got True"),
+    "MuseConfig.cap_ratio-str": (lambda: MuseConfig(cap_ratio="2"), "cap_ratio must be a real number, got '2'"),
+    "MuseConfig.scale-bool": (lambda: MuseConfig(scale=True), "scale must be a real number, got True"),
+    "MuseConfig.scale-str": (lambda: MuseConfig(scale="x"), "scale must be a real number, got 'x'"),
+    "WorkloadSpec.spread-bool": (lambda: WorkloadSpec(spread=True), "spread must be a real number, got True"),
+    "WorkloadSpec.spread-str": (lambda: WorkloadSpec(kind="gaussian_mixture", spread="x"),
+                                "spread must be a real number, got 'x'"),
+    "WorkloadSpec.centroid_scale-bool": (lambda: WorkloadSpec(centroid_scale=True),
+                                         "centroid_scale must be a real number, got True"),
+    "attend.scale-bool": (lambda: attend(Q, Q, Q, scale=True), "scale must be a real number, got True"),
+    "attend.scale-str": (lambda: attend(Q, Q, Q, scale="1"), "scale must be a real number, got '1'"),
+    "kmeans.iters-bool": (lambda: kmeans(X, 2, True, 1.5, make_rng(0)), "iters must be an integer, got True"),
+    "kmeans.cap_ratio-bool": (lambda: kmeans(X, 2, 1, True, make_rng(0)), "cap_ratio must be a real number, got True"),
+    "kmeans.c-bool": (lambda: kmeans(X, True, 1, 1.5, make_rng(0)), "c must be an integer, got True"),
+    "kmeans.c-float": (lambda: kmeans(X, 2.0, 1, 1.5, make_rng(0)), "c must be an integer, got 2.0"),
+    "init_centroids.c-bool": (lambda: init_centroids(X, True, make_rng(0)), "c must be an integer, got True"),
+    "fd_sensitivity.eps-bool": (lambda: fd_sensitivity(Q, Q, Q, MuseConfig(), Q, eps=True),
+                                "eps must be a real number, got True"),
+    "fd_sensitivity.eps-str": (lambda: fd_sensitivity(Q, Q, Q, MuseConfig(), Q, eps="1e-3"),
+                               "eps must be a real number, got '1e-3'"),
+}
+
+
+@pytest.mark.parametrize("call, message", REJECTED.values(), ids=REJECTED)
+def test_bool_or_non_numeric_parameter_is_rejected_by_name(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

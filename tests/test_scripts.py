@@ -2,9 +2,12 @@
 interpreter in the repo root with src/ on the path."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -40,3 +43,20 @@ def test_hashcheck_is_bitwise_equal_across_processes(tmp_path):
     assert second.stdout.splitlines()[0] == first.stdout.strip()
     compared = second.stdout.splitlines()[1:]
     assert compared and all(line.endswith(": bitwise equal") for line in compared)
+
+
+def test_hashcheck_prints_the_error_of_a_clustered_output_that_moved(tmp_path):
+    saved, moved = tmp_path / "h.npz", tmp_path / "moved.npz"
+    assert run_script("scripts/hashcheck.py", ".", "--save", saved).returncode == 0
+    with np.load(saved) as f:
+        arrays = dict(f)
+    key = "acausal_iso_n1024/0/0/muse_acausal.y"
+    arrays[key] = arrays[key] + np.float32(0.5)  # the saved side reads a worse approximation
+    np.savez(moved, **arrays)
+    done = run_script("scripts/hashcheck.py", ".", "--against", moved)
+    assert done.returncode == 0, done.stderr
+    errors = [line for line in done.stdout.splitlines() if "rel_sq_error" in line]
+    assert len(errors) == 1, done.stdout
+    found = re.fullmatch(r"acausal_iso_n1024 muse_acausal\.y: mean rel_sq_error against attend\.y (\S+) -> (\S+)",
+                         errors[0])
+    assert found and float(found[1]) > float(found[2]) > 0, errors[0]

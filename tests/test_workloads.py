@@ -144,7 +144,7 @@ def test_mixture_inertia_self_check_with_informed_init():
 
 
 def test_mixture_inertia_default_init_is_bounded():
-    # default squared-norm seeding rarely covers all components, so only a
+    # default uniform seeding rarely covers all components, so only a
     # loose multiple of the generating inertia is guaranteed
     spec = WorkloadSpec(kind="gaussian_mixture", n=1024, d=16, c_true=16,
                         spread=0.1, seed=12)
