@@ -52,33 +52,54 @@ def test_init_exhaustion_selects_every_point():
 
 @pytest.mark.parametrize("c", [1, 3, 5])
 def test_init_draws_c_distinct_rows(c):
-    # five tokens of positive norm, one of them tiny, among fifteen zero rows; and all-zero tokens
+    # five tokens of positive norm, one of them tiny, among fifteen zero rows
     x = np.zeros((20, 3))
     x[[2, 5, 11, 12, 19]] = np.random.default_rng(16).normal(size=(5, 3))
     x[12] *= 1e-150
-    for tokens in (x, np.zeros((20, 3))):
+    for trial in range(200):
+        init = init_centroids(x, c, make_rng(trial))
+        assert not init.uniform_fallback
+        assert init.indices.dtype == np.int64 and len(set(init.indices.tolist())) == c
+        assert np.array_equal(init.centroids, x[init.indices])
+
+
+def test_init_all_zero_tokens_draw_c_distinct_rows():
+    # all-zero tokens take the same draw as any other: no fallback flag
+    x = np.zeros((20, 3))
+    for c in (1, 3, 5):
         for trial in range(200):
-            init = init_centroids(tokens, c, make_rng(trial))
+            init = init_centroids(x, c, make_rng(trial))
             assert not init.uniform_fallback
             assert init.indices.dtype == np.int64 and len(set(init.indices.tolist())) == c
-            assert np.array_equal(init.centroids, tokens[init.indices])
+            assert np.array_equal(init.centroids, x[init.indices])
+
+
+def selection_counts(x, trials=10_000):
+    counts = np.zeros(len(x))
+    for trial in range(trials):
+        counts[init_centroids(x, 1, make_rng(trial)).indices[0]] += 1
+    return counts
 
 
 def test_init_equal_norms_uniform_chi_square():
-    # points on a sphere, and points of unequal norm, one of them zero:
-    # selection frequencies must be uniform
+    # all points on a sphere: selection frequencies must be uniform
     rng = np.random.default_rng(3)
-    n = 8
-    sphere = rng.normal(size=(n, 5))
-    sphere /= np.linalg.norm(sphere, axis=1, keepdims=True)
-    unequal = sphere * np.array([0.0, 1e-3, 0.5, 1.0, 2.0, 3.0, 10.0, 1e6])[:, None]
-    for x in (sphere, unequal):
-        counts = np.zeros(n)
-        for trial in range(10_000):
-            init = init_centroids(x, 1, make_rng(trial))
-            counts[init.indices[0]] += 1
-        chi = stats.chisquare(counts)
-        assert chi.pvalue > 0.001, f"selection biased: counts={counts}, p={chi.pvalue}"
+    x = rng.normal(size=(8, 5))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    counts = selection_counts(x)
+    chi = stats.chisquare(counts)
+    assert chi.pvalue > 0.001, f"selection biased: counts={counts}, p={chi.pvalue}"
+
+
+def test_init_unequal_norms_uniform_chi_square():
+    # norms from 0 to 1e6: selection frequencies must still be uniform
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(8, 5))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    x *= np.array([0.0, 1e-3, 0.5, 1.0, 2.0, 3.0, 10.0, 1e6])[:, None]
+    counts = selection_counts(x)
+    chi = stats.chisquare(counts)
+    assert chi.pvalue > 0.001, f"selection biased: counts={counts}, p={chi.pvalue}"
 
 
 def test_init_pairs_are_uniform_in_drawing_order():
